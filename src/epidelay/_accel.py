@@ -1,32 +1,23 @@
-"""Numba acceleration switch.
+"""Optional numba compilation.
 
-Hot kernels are written as plain loops over numpy arrays and compiled with
-``numba.njit`` when available. Setting the environment variable
-``EPIDELAY_NO_NUMBA=1`` (or running without numba installed) selects the
-uncompiled / vectorized-numpy fallback paths instead. Both paths produce
-bit-identical results; see ``benchmarks/bench_kernels.py`` for a speed
-comparison.
+The DDE stepper and the Barabási–Albert attach loop are written as plain
+loops over numpy arrays. When numba is installed (the ``accel`` extra) they
+are compiled with ``numba.njit``; otherwise they run as ordinary Python.
+There is one implementation of each, so results do not depend on which way
+it runs.
 """
-
-import os
 
 try:
     from numba import njit as _njit
 
-    HAVE_NUMBA = True
+    USE_NUMBA = True
 except ImportError:  # pragma: no cover - exercised only without numba
     _njit = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("EPIDELAY_NO_NUMBA", "") != "1"
+    USE_NUMBA = False
 
 
 def maybe_njit(**options):
-    """Decorator: ``njit(**options)`` when acceleration is on, no-op otherwise.
-
-    Compiled functions keep the original under ``.py_func`` so the pure
-    path stays callable for benchmarks and cross-checks.
-    """
+    """Decorator: ``njit(**options)`` when numba is installed, no-op otherwise."""
 
     def wrap(func):
         if USE_NUMBA:

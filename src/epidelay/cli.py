@@ -25,7 +25,6 @@ from . import __version__
 from ._accel import USE_NUMBA
 from .dde import (
     IntegrationError,
-    constant_history,
     consistent_reduced_history,
     default_fit_window,
     estimate_growth_rate,
@@ -34,6 +33,7 @@ from .dde import (
     integrate_homogeneous,
     integrate_partitioned,
     integrate_reduced,
+    partition_sizes,
 )
 from .netsim import (
     GraphSpec,
@@ -47,6 +47,7 @@ from .params import (
     HeterogeneityMode,
     ModelError,
     compute_stats,
+    effective_beta,
     load_distribution,
     reproduction_numbers,
 )
@@ -55,6 +56,10 @@ from .stability import (
     VerdictKind,
     homogeneous_delay_bound,
 )
+
+
+# Largest lo:hi:step grid a sweep may ask for; far above any plotted curve.
+MAX_RANGE_POINTS = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -67,8 +72,12 @@ def _parse_range(spec: str) -> np.ndarray:
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
     except ValueError:
         raise ModelError(f"malformed range {spec!r}; expected lo:hi:step") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ModelError(f"malformed range {spec!r}; bounds and step must be finite")
     if step <= 0 or hi < lo:
         raise ModelError(f"malformed range {spec!r}; need step > 0 and hi >= lo")
+    if not (hi - lo) / step < MAX_RANGE_POINTS:
+        raise ModelError(f"range {spec!r} has more than {MAX_RANGE_POINTS} points")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(n)
 
@@ -130,8 +139,9 @@ def cmd_bound(args) -> int:
         for alpha in alphas:
             params = EpidemicParams(rho=0.0, gamma=args.gamma, alpha=alpha, t_delay=0.0)
             for x in xs:
-                # scaled-R0 equivalence: heterogeneity multiplies R0 by 1 + cv^2
-                verdict = homogeneous_delay_bound(params, args.r0 * (1.0 + float(x) ** 2))
+                # scaled-R0 equivalence: heterogeneity multiplies R0 by h = 1 + cv^2
+                h = DegreeStats.from_mu_cv(1.0, float(x)).h
+                verdict = homogeneous_delay_bound(params, args.r0 * h)
                 rows.append((float(x), alpha, verdict))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("x,alpha,T_max_days,verdict\n")
@@ -175,13 +185,10 @@ def cmd_classify(args) -> int:
 
 
 def _partition_profile(dist, kind: str, i0: float) -> np.ndarray:
-    n = dist.max_degree
-    weights = np.zeros(n)
-    for k, cnt in dist.items():
-        if k >= 1:
-            weights[k - 1] = cnt * (k if kind == "proportional" else 1.0)
-    y0 = weights / weights.sum() * (i0 * dist.population)
-    return y0
+    weights = partition_sizes(dist)
+    if kind == "proportional":
+        weights *= np.arange(1, dist.max_degree + 1)
+    return weights / weights.sum() * (i0 * dist.population)
 
 
 def cmd_dde(args) -> int:
@@ -189,12 +196,13 @@ def cmd_dde(args) -> int:
                             t_delay=args.t_delay)
     window = (tuple(_parse_floats(args.fit_window)) if args.fit_window
               else default_fit_window(params, args.horizon))
+    rate = args.history_rate if args.history == "exponential" else 0.0
+    gap = None
 
     if args.system == "homogeneous":
-        beta = args.beta if args.beta is not None else args.rho * args.mu * (1 + args.cv**2)
-        y0 = np.array([1.0 - args.i0, args.i0, 0.0])
-        hist = (exponential_history(y0, args.history_rate) if args.history == "exponential"
-                else constant_history(y0))
+        beta = args.beta if args.beta is not None \
+            else effective_beta(params, DegreeStats.from_mu_cv(args.mu, args.cv))
+        hist = exponential_history([1.0 - args.i0, args.i0, 0.0], rate)
         traj = integrate_homogeneous(params, beta, hist, args.horizon, args.dt)
         fit = estimate_growth_rate(traj, "i", window)
         traj.to_csv(args.out)
@@ -204,11 +212,9 @@ def cmd_dde(args) -> int:
         else:
             stats = DegreeStats.from_mu_cv(args.mu, args.cv)
         lam0 = args.lambda0 if args.lambda0 is not None \
-            else args.rho * stats.mu * stats.h * args.i0
-        y0 = np.array([args.i0, lam0])
-        hist = (exponential_history(y0, args.history_rate) if args.history == "exponential"
-                else constant_history(y0))
-        traj = integrate_reduced(params, stats, hist, args.horizon, args.dt)
+            else effective_beta(params, stats) * args.i0
+        traj = integrate_reduced(params, stats, exponential_history([args.i0, lam0], rate),
+                                 args.horizon, args.dt)
         # lambda evolves autonomously, so its slope is exactly the dominant
         # characteristic rate; i also carries a decaying recovery mode
         fit = estimate_growth_rate(traj, "lambda", window)
@@ -218,40 +224,34 @@ def cmd_dde(args) -> int:
             raise ModelError("--system partitioned requires --dist")
         dist = load_distribution(args.dist)
         y0 = _partition_profile(dist, args.seed_profile, args.i0)
-        hist = (exponential_history(y0, args.history_rate) if args.history == "exponential"
-                else constant_history(y0))
-        traj = integrate_partitioned(params, dist, hist, args.horizon, args.dt,
-                                     dynamic_susceptibles=args.dynamic)
+        traj = integrate_partitioned(params, dist, exponential_history(y0, rate), args.horizon,
+                                     args.dt, dynamic_susceptibles=args.dynamic)
         agg = infectious_fraction(traj, dist)
+        fit = estimate_growth_rate(traj, agg, window)
         if args.paired:
-            hist_r = consistent_reduced_history(dist, y0, args.rho)
-            traj_r = integrate_reduced(params, compute_stats(dist), hist_r,
+            traj_r = integrate_reduced(params, compute_stats(dist),
+                                       consistent_reduced_history(dist, y0, args.rho),
                                        args.horizon, args.dt)
             agg_r = traj_r.component("i")
             gap = float(np.max(np.abs(agg - agg_r) / np.maximum(np.abs(agg_r), 1e-300)))
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write("t,i_partitioned,i_reduced\n")
-                for i in range(len(traj.times)):
-                    fh.write(f"{_fmt(traj.times[i])},{_fmt(agg[i])},{_fmt(agg_r[i])}\n")
-            mask = (traj.times >= window[0]) & (traj.times <= window[1])
-            slope = np.polyfit(traj.times[mask], np.log(agg[mask]), 1)[0]
-            print(f"fitted_rate_per_day={_fmt(slope)} max_rel_gap={_fmt(gap)}")
-            _write_sidecar(args.out, args, {"max_rel_gap": _fmt(gap)})
-            return 0
+            header = "t,i_partitioned,i_reduced"
+            columns = np.column_stack([agg, agg_r])
+        else:
+            header = "t," + ",".join(traj.components) + ",i_aggregate"
+            columns = np.column_stack([traj.states, agg])
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("t," + ",".join(traj.components) + ",i_aggregate\n")
-            for i in range(len(traj.times)):
-                row = [_fmt(traj.times[i])] + [_fmt(v) for v in traj.states[i]] + [_fmt(agg[i])]
-                fh.write(",".join(row) + "\n")
-        mask = (traj.times >= window[0]) & (traj.times <= window[1])
-        slope = np.polyfit(traj.times[mask], np.log(agg[mask]), 1)[0]
-        print(f"fitted_rate_per_day={_fmt(slope)} fit_window={window[0]:g}:{window[1]:g}")
-        _write_sidecar(args.out, args)
-        return 0
+            fh.write(header + "\n")
+            for t, row in zip(traj.times, columns):
+                fh.write(",".join([_fmt(t)] + [_fmt(v) for v in row]) + "\n")
 
-    print(f"fitted_rate_per_day={_fmt(fit.rate)} residual_rms={_fmt(fit.residual_rms)} "
-          f"fit_window={window[0]:g}:{window[1]:g}")
-    _write_sidecar(args.out, args, {"fitted_rate_per_day": _fmt(fit.rate)})
+    extra = {"fitted_rate_per_day": _fmt(fit.rate)}
+    summary = (f"fitted_rate_per_day={_fmt(fit.rate)} residual_rms={_fmt(fit.residual_rms)} "
+               f"fit_window={window[0]:g}:{window[1]:g}")
+    if gap is not None:
+        extra["max_rel_gap"] = _fmt(gap)
+        summary += f" max_rel_gap={_fmt(gap)}"
+    print(summary)
+    _write_sidecar(args.out, args, extra)
     return 0
 
 

@@ -16,14 +16,16 @@ for the delayed-term lookups:
       I' = mu*xi - gamma*I,  lambda' = beta_h*xi - gamma*lambda,
       xi(t) = lambda(t) - alpha*exp(-gamma*tau)*lambda(t - tau)
 
-with beta_h = rho*(sigma^2/mu + mu). About the all-susceptible equilibrium
-the partitioned and reduced systems produce identical aggregate infectious
-trajectories for consistent initial histories, which is the main oracle the
-test suite leans on.
+with beta_h = rho*mu*h from params.effective_beta, so the heterogeneity
+mode chosen for the stats carries through. About the all-susceptible
+equilibrium the partitioned and reduced systems produce identical aggregate
+infectious trajectories for consistent initial histories, which is the main
+oracle the test suite leans on.
 
 The step size must satisfy dt <= tau/4 so every delayed lookup lands in
 already-completed history. Integration is bit-for-bit reproducible for
-identical inputs; hot loops compile under numba (see _accel).
+identical inputs; the stepper compiles under numba when it is installed
+(see _accel).
 """
 
 from __future__ import annotations
@@ -34,10 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import maybe_njit
-from .params import DegreeDistribution, EpidemicParams, ModelError
-
-HIST_CONSTANT = 0
-HIST_EXPONENTIAL = 1
+from .params import DegreeDistribution, EpidemicParams, ModelError, effective_beta
 
 SYS_HOMOGENEOUS = 0
 SYS_REDUCED = 1
@@ -64,10 +63,6 @@ class History:
         y0 = np.asarray(self.y0, dtype=np.float64).copy()
         y0.setflags(write=False)
         object.__setattr__(self, "y0", y0)
-
-    @property
-    def kind(self) -> int:
-        return HIST_CONSTANT if self.rate == 0.0 else HIST_EXPONENTIAL
 
     def __call__(self, theta: float) -> np.ndarray:
         return self.y0 * math.exp(self.rate * theta)
@@ -101,23 +96,12 @@ class Trajectory:
     def sample(self, t: float) -> np.ndarray:
         """Dense state at time t; for t <= times[0] this is exactly the
         supplied history function."""
-        if t <= self.times[0]:
-            return self.history(t - self.times[0])
         if t > self.times[-1]:
             raise ModelError(f"t={t} beyond integrated horizon {self.times[-1]}")
-        i = min(int(np.searchsorted(self.times, t, side="right")) - 1, len(self.times) - 2)
-        h = self.times[i + 1] - self.times[i]
-        th = (t - self.times[i]) / h
-        h00 = (1.0 + 2.0 * th) * (1.0 - th) ** 2
-        h10 = th * (1.0 - th) ** 2
-        h01 = th * th * (3.0 - 2.0 * th)
-        h11 = th * th * (th - 1.0)
-        return (
-            h00 * self.states[i]
-            + h10 * h * self.derivs[i]
-            + h01 * self.states[i + 1]
-            + h11 * h * self.derivs[i + 1]
-        )
+        out = np.empty(self.states.shape[1])
+        _dense_eval(float(t), self.times, self.states, self.derivs, len(self.times) - 1,
+                    self.times[1] - self.times[0], self.history.rate, self.history.y0, out)
+        return out
 
     def to_csv(self, path) -> None:
         """Write `t,<components>` rows at full double precision."""
@@ -139,19 +123,15 @@ class GrowthFit:
 
 
 @maybe_njit(cache=True)
-def _dense_eval(t_query, times, states, derivs, filled, dt, hist_kind, hist_y0, hist_rate, out):
+def _dense_eval(t_query, times, states, derivs, filled, dt, hist_rate, hist_y0, out):
     """Interpolated state at t_query, reading the initial history for
     t_query <= times[0] and cubic Hermite data otherwise. Only the first
     `filled` steps are trusted."""
     t0 = times[0]
     if t_query <= t0:
-        if hist_kind == HIST_CONSTANT:
-            for j in range(out.shape[0]):
-                out[j] = hist_y0[j]
-        else:
-            factor = math.exp(hist_rate * (t_query - t0))
-            for j in range(out.shape[0]):
-                out[j] = hist_y0[j] * factor
+        factor = math.exp(hist_rate * (t_query - t0))
+        for j in range(out.shape[0]):
+            out[j] = hist_y0[j] * factor
         return
     i = int((t_query - t0) / dt)
     if i > filled - 1:
@@ -224,7 +204,7 @@ def _rhs(system, y, y_del, coeffs, out):
 
 
 @maybe_njit(cache=True)
-def _rk4_dde(system, times, states, derivs, dt, tau, coeffs, hist_kind, hist_y0, hist_rate, cap):
+def _rk4_dde(system, times, states, derivs, dt, tau, coeffs, hist_rate, hist_y0, cap):
     """Method-of-steps RK4 over the preallocated node arrays.
 
     Returns (status, last_index): status 0 on success, 1 on blow-up past
@@ -239,7 +219,7 @@ def _rk4_dde(system, times, states, derivs, dt, tau, coeffs, hist_kind, hist_y0,
     k4 = np.empty(dim)
 
     if tau > 0.0:
-        _dense_eval(times[0] - tau, times, states, derivs, 0, dt, hist_kind, hist_y0, hist_rate, y_del)
+        _dense_eval(times[0] - tau, times, states, derivs, 0, dt, hist_rate, hist_y0, y_del)
     else:
         for j in range(dim):
             y_del[j] = states[0, j]
@@ -252,7 +232,7 @@ def _rk4_dde(system, times, states, derivs, dt, tau, coeffs, hist_kind, hist_y0,
 
         # stages 2 and 3 share the delayed lookup at t + h/2 - tau
         if tau > 0.0:
-            _dense_eval(t + half - tau, times, states, derivs, m, dt, hist_kind, hist_y0, hist_rate, y_del)
+            _dense_eval(t + half - tau, times, states, derivs, m, dt, hist_rate, hist_y0, y_del)
         for j in range(dim):
             y_tmp[j] = states[m, j] + half * derivs[m, j]
         if tau == 0.0:
@@ -269,7 +249,7 @@ def _rk4_dde(system, times, states, derivs, dt, tau, coeffs, hist_kind, hist_y0,
 
         # stage 4 and the next node derivative share the lookup at t + h - tau
         if tau > 0.0:
-            _dense_eval(t + h - tau, times, states, derivs, m, dt, hist_kind, hist_y0, hist_rate, y_del)
+            _dense_eval(t + h - tau, times, states, derivs, m, dt, hist_rate, hist_y0, y_del)
         for j in range(dim):
             y_tmp[j] = states[m, j] + h * k3[j]
         if tau == 0.0:
@@ -322,7 +302,7 @@ def _integrate(system, coeffs, history, components, t_end, dt, tau, cap):
     status, last = _rk4_dde(
         system, times, states, derivs, dt, tau,
         np.asarray(coeffs, dtype=np.float64),
-        history.kind, y0, float(history.rate), cap,
+        float(history.rate), y0, cap,
     )
     if status != 0:
         raise IntegrationError(
@@ -363,14 +343,24 @@ def integrate_reduced(
     dt: float = 0.01,
     cap: float = 1e12,
 ) -> Trajectory:
-    """Integrate the two-dimensional (I, lambda) population-level system."""
+    """Integrate the two-dimensional (I, lambda) population-level system,
+    with beta_h = effective_beta(params, stats)."""
     tau = params.t_delay
-    beta_h = params.rho * stats.mu * (1.0 + stats.cv**2)
+    beta_h = effective_beta(params, stats)
     iso = params.alpha * math.exp(-params.gamma * tau)
     return _integrate(
         SYS_REDUCED, [stats.mu, beta_h, params.gamma, iso], history,
         ("i", "lambda"), t_end, dt, tau, cap,
     )
+
+
+def partition_sizes(dist: DegreeDistribution) -> np.ndarray:
+    """Partition sizes N_k for degrees k = 1..max_degree (degree 0 left out)."""
+    n_k = np.zeros(dist.max_degree, dtype=np.float64)
+    for k, cnt in dist.items():
+        if k >= 1:
+            n_k[k - 1] = cnt
+    return n_k
 
 
 def integrate_partitioned(
@@ -396,10 +386,7 @@ def integrate_partitioned(
     if n < 1:
         raise ModelError("partitioned system needs a positive maximum degree")
     tau = params.t_delay
-    n_k = np.zeros(n, dtype=np.float64)
-    for k, cnt in dist.items():
-        if k >= 1:
-            n_k[k - 1] = cnt
+    n_k = partition_sizes(dist)
     sum_k_n = float(np.sum(np.arange(1, n + 1, dtype=np.float64) * n_k))
     if alpha_by_degree is None:
         alphas = np.full(n, params.alpha, dtype=np.float64)
@@ -451,31 +438,30 @@ def consistent_reduced_history(
     if not np.any(y0 > 0.0):
         raise ModelError("y0_profile is all zero; nothing to seed")
     ks = np.arange(1, n + 1, dtype=np.float64)
-    n_k = np.zeros(n, dtype=np.float64)
-    for k, cnt in dist.items():
-        if k >= 1:
-            n_k[k - 1] = cnt
-    lam0 = rho * float(np.sum(ks * y0)) / float(np.sum(ks * n_k))
+    lam0 = rho * float(np.sum(ks * y0)) / float(np.sum(ks * partition_sizes(dist)))
     i0 = float(np.sum(y0)) / dist.population
     return constant_history([i0, lam0])
 
 
-def estimate_growth_rate(traj: Trajectory, component, window: tuple[float, float]) -> GrowthFit:
+def estimate_growth_rate(traj: Trajectory, observable, window: tuple[float, float]) -> GrowthFit:
     """Least-squares slope of log(observable) versus time on the window.
 
-    component is a name or column index. All samples in the window must be
-    strictly positive.
+    observable is a component name or a series sampled at traj.times, such
+    as the infectious_fraction of a partitioned run. All samples in the
+    window must be strictly positive.
     """
-    if isinstance(component, str):
-        col = traj.components.index(component)
+    if isinstance(observable, str):
+        series = traj.component(observable)
     else:
-        col = int(component)
+        series = np.asarray(observable, dtype=np.float64)
+        if series.shape != traj.times.shape:
+            raise ModelError(f"observable has shape {series.shape}, expected {traj.times.shape}")
     t0, t1 = window
     mask = (traj.times >= t0 - 1e-12) & (traj.times <= t1 + 1e-12)
     if int(mask.sum()) < 3:
         raise ModelError(f"window [{t0}, {t1}] contains fewer than 3 samples")
     ts = traj.times[mask]
-    ys = traj.states[mask, col]
+    ys = series[mask]
     if np.any(ys <= 0.0):
         raise ModelError("observable has nonpositive samples in the fit window")
     logs = np.log(ys)

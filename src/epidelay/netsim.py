@@ -8,11 +8,10 @@ probability alpha, t_delay (rounded to whole days) after the day it became
 infectious, and moves to Isolated at the start of that day if still
 infectious. Isolation is permanent and only blocks transmission.
 
-Each day's uniform variates are drawn once in the driver and consumed
-identically by the numba day-sweep kernel and its vectorized numpy
-fallback, so both paths produce bit-identical epidemics. Runs within an
-ensemble use independently derived RNG streams; aggregation order is fixed,
-so results do not depend on the thread count.
+Each day draws its uniform variates in a fixed order and applies every
+node's transition at once with numpy. Runs within an ensemble use
+independently derived RNG streams; aggregation order is fixed, so results
+do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import USE_NUMBA, maybe_njit
 from .graphs import ContactGraph, generate_graph
 from .params import EpidemicParams, ModelError
 
@@ -88,8 +86,7 @@ def seed_infections(graph: ContactGraph, count: int, mode: str,
 
 
 def infection_prob_table(rho: float, max_degree: int) -> np.ndarray:
-    """p[m] = 1 - (1-rho)^m, shared by both sweep paths so they agree
-    bit-for-bit."""
+    """p[m] = 1 - (1-rho)^m, the chance that m infectious neighbors infect."""
     return 1.0 - np.power(1.0 - rho, np.arange(max_degree + 1, dtype=np.float64))
 
 
@@ -111,56 +108,6 @@ def init_state(graph: ContactGraph, seeds: np.ndarray, params: EpidemicParams,
     return EpidemicState(status=status, iso_day=iso_day, inf_day=inf_day, day=start_day)
 
 
-@maybe_njit(cache=True, nogil=True)
-def _day_sweep_loop(indptr, indices, status, iso_day, inf_day, day,
-                    p_table, p_rec, alpha, t_days, u_inf, u_rec, u_iso, counts):
-    """Advance one day in place (loop form, the numba-compiled hot kernel)."""
-    n = status.shape[0]
-    for v in range(n):
-        counts[v] = 0
-    for v in range(n):
-        if status[v] == INFECTIOUS:
-            for e in range(indptr[v], indptr[v + 1]):
-                w = indices[e]
-                if status[w] == SUSCEPTIBLE:
-                    counts[w] += 1
-    for v in range(n):
-        st = status[v]
-        if (st == INFECTIOUS or st == ISOLATED) and u_rec[v] < p_rec:
-            status[v] = REMOVED
-    for w in range(n):
-        if status[w] == SUSCEPTIBLE and counts[w] > 0:
-            if u_inf[w] < p_table[counts[w]]:
-                status[w] = INFECTIOUS
-                inf_day[w] = day + 1
-                if u_iso[w] < alpha:
-                    iso_day[w] = day + 1 + t_days
-    for v in range(n):
-        if status[v] == INFECTIOUS and iso_day[v] == day + 1:
-            status[v] = ISOLATED
-
-
-def _day_sweep_numpy(indptr, indices, status, iso_day, inf_day, day,
-                     p_table, p_rec, alpha, t_days, u_inf, u_rec, u_iso, counts):
-    """Vectorized fallback; consumes the same uniforms in the same roles as
-    the loop kernel and therefore produces identical states."""
-    # by symmetry, the sum of transmitting[] over CSR row w counts the
-    # infectious neighbors of w
-    transmitting = (status == INFECTIOUS).astype(np.int64)
-    cs = np.concatenate(([0], np.cumsum(transmitting[indices])))
-    counts[:] = cs[indptr[1:]] - cs[indptr[:-1]]
-
-    recover = ((status == INFECTIOUS) | (status == ISOLATED)) & (u_rec < p_rec)
-    infect = (status == SUSCEPTIBLE) & (counts > 0) & (u_inf < p_table[counts])
-    status[recover] = REMOVED
-    status[infect] = INFECTIOUS
-    inf_day[infect] = day + 1
-    schedule = infect & (u_iso < alpha)
-    iso_day[schedule] = day + 1 + t_days
-    due = (status == INFECTIOUS) & (iso_day == day + 1)
-    status[due] = ISOLATED
-
-
 def metrics_from_state(graph: ContactGraph, state: EpidemicState) -> DayMetrics:
     counts = np.bincount(state.status, minlength=4)
     infected_alive = (state.status == INFECTIOUS) | (state.status == ISOLATED)
@@ -177,23 +124,34 @@ def metrics_from_state(graph: ContactGraph, state: EpidemicState) -> DayMetrics:
 
 
 def step_day(graph: ContactGraph, state: EpidemicState, params: EpidemicParams,
-             rng: np.random.Generator, _scratch=None) -> DayMetrics:
-    """Advance the epidemic one day and return the new day's metrics.
+             rng: np.random.Generator) -> DayMetrics:
+    """Advance the epidemic one day in place and return the new day's metrics.
 
     Draws three length-n uniform arrays (infection, recovery, isolation) in
-    a fixed order, then dispatches to the compiled or vectorized sweep.
+    a fixed order, then applies the day's transitions to every node at once.
     """
     n = graph.node_count
     u_inf = rng.random(n)
     u_rec = rng.random(n)
     u_iso = rng.random(n)
-    counts = _scratch if _scratch is not None else np.zeros(n, dtype=np.int64)
     p_table = infection_prob_table(params.rho, int(graph.degrees.max()))
     p_rec = -math.expm1(-params.gamma)
-    sweep = _day_sweep_loop if USE_NUMBA else _day_sweep_numpy
-    sweep(graph.indptr, graph.indices, state.status, state.iso_day, state.inf_day,
-          state.day, p_table, p_rec, params.alpha, int(round(params.t_delay)),
-          u_inf, u_rec, u_iso, counts)
+    status, day = state.status, state.day
+    # by symmetry, the sum of transmitting[] over CSR row w counts the
+    # infectious neighbors of w
+    transmitting = (status == INFECTIOUS).astype(np.int64)
+    cs = np.concatenate(([0], np.cumsum(transmitting[graph.indices])))
+    counts = cs[graph.indptr[1:]] - cs[graph.indptr[:-1]]
+
+    recover = ((status == INFECTIOUS) | (status == ISOLATED)) & (u_rec < p_rec)
+    infect = (status == SUSCEPTIBLE) & (counts > 0) & (u_inf < p_table[counts])
+    status[recover] = REMOVED
+    status[infect] = INFECTIOUS
+    state.inf_day[infect] = day + 1
+    schedule = infect & (u_iso < params.alpha)
+    state.iso_day[schedule] = day + 1 + int(round(params.t_delay))
+    due = (status == INFECTIOUS) & (state.iso_day == day + 1)
+    status[due] = ISOLATED
     state.day += 1
     return metrics_from_state(graph, state)
 
@@ -218,33 +176,12 @@ def run_single(graph: ContactGraph, params: EpidemicParams, seeding: str,
         raise ModelError(f"days must be >= 1, got {days}")
     seeds = seed_infections(graph, seed_count, seeding, rng)
     state = init_state(graph, seeds, params, rng)
-    n = graph.node_count
-    s = np.empty(days, dtype=np.int64)
-    i = np.empty(days, dtype=np.int64)
-    r = np.empty(days, dtype=np.int64)
-    iso = np.empty(days, dtype=np.int64)
-    mdeg = np.empty(days, dtype=np.float64)
-    p_table = infection_prob_table(params.rho, int(graph.degrees.max()))
-    p_rec = -math.expm1(-params.gamma)
-    t_days = int(round(params.t_delay))
-    counts = np.zeros(n, dtype=np.int64)
-    sweep = _day_sweep_loop if USE_NUMBA else _day_sweep_numpy
-
-    def record(idx: int):
-        m = metrics_from_state(graph, state)
-        s[idx], i[idx], r[idx], iso[idx], mdeg[idx] = m.s, m.i, m.r, m.isolated, m.mean_inf_degree
-
-    record(0)
-    for d in range(days - 1):
-        u_inf = rng.random(n)
-        u_rec = rng.random(n)
-        u_iso = rng.random(n)
-        sweep(graph.indptr, graph.indices, state.status, state.iso_day, state.inf_day,
-              state.day, p_table, p_rec, params.alpha, t_days, u_inf, u_rec, u_iso, counts)
-        state.day += 1
-        record(d + 1)
+    series = [metrics_from_state(graph, state)]
+    series += [step_day(graph, state, params, rng) for _ in range(days - 1)]
+    col = lambda name, dtype=np.int64: np.array([getattr(m, name) for m in series], dtype=dtype)
     mu, var = graph.census()
-    return RunResult(s=s, i=i, r=r, isolated=iso, mean_inf_degree=mdeg,
+    return RunResult(s=col("s"), i=col("i"), r=col("r"), isolated=col("isolated"),
+                     mean_inf_degree=col("mean_inf_degree", np.float64),
                      census_mu=mu, census_var=var)
 
 

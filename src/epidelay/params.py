@@ -37,9 +37,9 @@ class EpidemicParams:
     """Core rate parameters shared by every model variant.
 
     rho:     per-contact transmission rate (1/day), in [0, 1]
-    gamma:   recovery rate (1/day), > 0
+    gamma:   recovery rate (1/day), finite and > 0
     alpha:   fraction of new cases eventually isolated, in [0, 1]
-    t_delay: days between infection and isolation, >= 0
+    t_delay: days between infection and isolation, finite and >= 0
     """
 
     rho: float
@@ -50,12 +50,12 @@ class EpidemicParams:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ModelError(f"rho must be in [0, 1], got {self.rho}")
-        if not self.gamma > 0.0:
-            raise ModelError(f"gamma must be > 0, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ModelError(f"gamma must be finite and > 0, got {self.gamma}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ModelError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not self.t_delay >= 0.0:
-            raise ModelError(f"t_delay must be >= 0, got {self.t_delay}")
+        if not 0.0 <= self.t_delay < math.inf:
+            raise ModelError(f"t_delay must be finite and >= 0, got {self.t_delay}")
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,10 @@ class DegreeStats:
     def from_mu_cv(cls, mu: float, cv: float) -> "DegreeStats":
         """Synthetic stats from mean and coefficient of variation alone
         (mixed-population h; third moment unknown)."""
-        if mu <= 0.0:
-            raise ModelError(f"mu must be > 0, got {mu}")
-        if cv < 0.0:
-            raise ModelError(f"cv must be >= 0, got {cv}")
+        if not 0.0 < mu < math.inf:
+            raise ModelError(f"mu must be finite and > 0, got {mu}")
+        if not 0.0 <= cv < math.inf:
+            raise ModelError(f"cv must be finite and >= 0, got {cv}")
         return cls(mu=mu, sigma=cv * mu, cv=cv, k3=math.nan, h=cv * cv + 1.0)
 
 

@@ -83,6 +83,8 @@ def lambert_w(x: float, branch: str = "principal") -> float:
     branch="minus_one" requires -1/e <= x < 0 and returns w <= -1.
     The result satisfies |w*exp(w) - x| <= 1e-12 * max(1, |x|).
     """
+    if not math.isfinite(x):
+        raise ModelError(f"lambert_w requires a finite argument, got {x}")
     if branch == "principal":
         if x < _BRANCH_POINT - _BRANCH_SLACK:
             raise ModelError(f"principal branch requires x >= -1/e, got {x}")

@@ -91,6 +91,11 @@ class TestBound:
                        str(tmp_path / "x.csv")) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("spec", ["nan:1:0.1", "0:inf:1", "0:1:1e-12"])
+    def test_non_finite_or_oversized_range(self, spec, tmp_path, capsys):
+        assert run_cli("bound", "--r0-range", spec, "--out", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_requires_exactly_one_range(self, tmp_path, capsys):
         assert run_cli("bound", "--out", str(tmp_path / "x.csv")) == 1
         assert run_cli("bound", "--r0-range", "1:2:1", "--cv-range", "0:1:0.5",

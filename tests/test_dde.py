@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from epidelay.dde import (
     IntegrationError,
@@ -18,10 +19,17 @@ from epidelay.params import (
     DegreeDistribution,
     DegreeStats,
     EpidemicParams,
+    HeterogeneityMode,
     ModelError,
     compute_stats,
+    effective_beta,
 )
-from epidelay.stability import model_char_params, rightmost_root
+from epidelay.stability import (
+    VerdictKind,
+    heterogeneous_delay_bound,
+    model_char_params,
+    rightmost_root,
+)
 
 
 def synthetic_exponential(rate: float, t_end: float = 20.0, dt: float = 0.1) -> Trajectory:
@@ -163,15 +171,42 @@ class TestDenseOutput:
 
 
 class TestReducedSystem:
-    def test_growth_matches_rightmost_root(self):
+    # {1: 50, 9: 50} has h = 1.64 mixed and 1.44 on a fixed graph; the DDE
+    # must follow whichever h the stats carry
+    @pytest.mark.parametrize("stats", [
+        DegreeStats.from_mu_cv(4.0, 0.5),
+        compute_stats(DegreeDistribution({1: 50, 9: 50}), HeterogeneityMode.MIXED_POPULATION),
+        compute_stats(DegreeDistribution({1: 50, 9: 50}), HeterogeneityMode.FIXED_GRAPH),
+    ], ids=["mu-cv", "mixed-population", "fixed-graph"])
+    def test_growth_matches_rightmost_root(self, stats):
         p = EpidemicParams(rho=0.075, gamma=0.1, alpha=0.8, t_delay=0.5)
-        stats = DegreeStats.from_mu_cv(4.0, 0.5)
         beta_h = p.rho * stats.mu * stats.h
         hist = constant_history([1e-5, beta_h * 1e-5])
         traj = integrate_reduced(p, stats, hist, 100.0, 0.01)
         fit = estimate_growth_rate(traj, "lambda", (50.0, 100.0))
         root = rightmost_root(model_char_params(beta_h, p))
         assert fit.rate == pytest.approx(root.real, rel=1e-6, abs=1e-9)
+
+    # the degree distribution sets cv; both modes map it to a different h
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(rho=st.floats(0.005, 0.3), gamma=st.floats(0.1, 0.5), alpha=st.floats(0.0, 1.0),
+           t_delay=st.floats(0.1, 5.0),
+           counts=st.dictionaries(st.integers(1, 8), st.integers(1, 1000), min_size=1,
+                                  max_size=3),
+           mode=st.sampled_from(list(HeterogeneityMode)))
+    def test_bound_root_and_growth_signs_agree(self, rho, gamma, alpha, t_delay, counts, mode):
+        p = EpidemicParams(rho=rho, gamma=gamma, alpha=alpha, t_delay=t_delay)
+        stats = compute_stats(DegreeDistribution(counts), mode)
+        verdict = heterogeneous_delay_bound(p, stats)
+        beta_h = effective_beta(p, stats)
+        # keep away from the boundary, where the signs are not resolvable
+        assume(abs(verdict.margin) > 0.01 and beta_h > 0.0)
+        bound_stable = verdict.kind is VerdictKind.UNCONDITIONALLY_STABLE or (
+            verdict.kind is VerdictKind.STABLE_UP_TO and t_delay < verdict.t_max)
+        traj = integrate_reduced(p, stats, constant_history([1e-5, beta_h * 1e-5]), 100.0,
+                                 0.02, cap=1e250)
+        fit = estimate_growth_rate(traj, "lambda", default_fit_window(p, 100.0))
+        assert bound_stable == (verdict.margin < 0.0) == (fit.rate < 0.0)
 
     def test_exponential_history_shortens_transient(self):
         p = EpidemicParams(rho=0.075, gamma=0.1, alpha=0.8, t_delay=1.0)

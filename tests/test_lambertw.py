@@ -91,3 +91,10 @@ def test_domain_errors():
         lambert_w(-1.0, "minus_one")
     with pytest.raises(ModelError):
         lambert_w(1.0, "k=2")
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("branch", ["principal", "minus_one"])
+def test_non_finite_rejected(x, branch):
+    with pytest.raises(ModelError):
+        lambert_w(x, branch)

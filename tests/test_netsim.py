@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -19,8 +17,6 @@ from epidelay.netsim import (
     step_day,
     write_aggregate_csv,
     write_runs_csv,
-    _day_sweep_loop,
-    _day_sweep_numpy,
 )
 from epidelay.params import EpidemicParams, ModelError
 
@@ -131,34 +127,6 @@ class TestStepSemantics:
             for a, b in zip(prev_status[changed].tolist(), state.status[changed].tolist()):
                 assert (a, b) in allowed
             prev_status = state.status.copy()
-
-
-class TestSweepPathsAgree:
-    def test_loop_and_numpy_identical(self):
-        g = generate_graph("config-poisson", 3000, 4.0, 21)
-        p = base_params(alpha=0.6, t_delay=2.0)
-        p_table = infection_prob_table(p.rho, int(g.degrees.max()))
-        p_rec = -math.expm1(-p.gamma)
-
-        def run(sweep):
-            rng = np.random.default_rng(99)
-            seeds = seed_infections(g, 10, "degree", rng)
-            state = init_state(g, seeds, p, rng)
-            counts = np.zeros(g.node_count, dtype=np.int64)
-            for _ in range(20):
-                u_inf = rng.random(g.node_count)
-                u_rec = rng.random(g.node_count)
-                u_iso = rng.random(g.node_count)
-                sweep(g.indptr, g.indices, state.status, state.iso_day, state.inf_day,
-                      state.day, p_table, p_rec, p.alpha, 2, u_inf, u_rec, u_iso, counts)
-                state.day += 1
-            return state
-
-        a = run(_day_sweep_loop)
-        b = run(_day_sweep_numpy)
-        assert np.array_equal(a.status, b.status)
-        assert np.array_equal(a.iso_day, b.iso_day)
-        assert np.array_equal(a.inf_day, b.inf_day)
 
 
 class TestEnsemble:

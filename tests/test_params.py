@@ -109,10 +109,24 @@ class TestEpidemicParams:
         dict(rho=0.1, gamma=-1.0, alpha=0.5, t_delay=0.0),
         dict(rho=0.1, gamma=0.1, alpha=1.2, t_delay=0.0),
         dict(rho=0.1, gamma=0.1, alpha=0.5, t_delay=-0.5),
+        dict(rho=0.1, gamma=math.inf, alpha=0.5, t_delay=0.0),
+        dict(rho=0.1, gamma=math.nan, alpha=0.5, t_delay=0.0),
+        dict(rho=0.1, gamma=0.1, alpha=0.5, t_delay=math.inf),
+        dict(rho=0.1, gamma=0.1, alpha=0.5, t_delay=math.nan),
     ])
     def test_invariants_rejected(self, kwargs):
         with pytest.raises(ModelError):
             EpidemicParams(**kwargs)
+
+
+class TestFromMuCv:
+    @pytest.mark.parametrize("mu, cv", [
+        (0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5),
+        (4.0, -0.1), (4.0, math.nan), (4.0, math.inf),
+    ])
+    def test_invalid_moments_rejected(self, mu, cv):
+        with pytest.raises(ModelError):
+            DegreeStats.from_mu_cv(mu, cv)
 
 
 class TestEffectiveBeta:
