@@ -89,6 +89,13 @@ def _parse_floats(spec: str) -> list[float]:
         raise ModelError(f"malformed float list {spec!r}") from None
 
 
+def _parse_window(spec: str) -> tuple[float, float]:
+    vals = _parse_floats(spec)
+    if len(vals) != 2 or not all(map(math.isfinite, vals)) or not vals[0] < vals[1]:
+        raise ModelError(f"malformed fit window {spec!r}; expected lo,hi with finite lo < hi")
+    return vals[0], vals[1]
+
+
 def _write_sidecar(out_path: str, args: argparse.Namespace, extra: dict | None = None) -> None:
     entries = {"artifact_version": __version__, "accel": "numba" if USE_NUMBA else "numpy"}
     for key, val in sorted(vars(args).items()):
@@ -194,7 +201,7 @@ def _partition_profile(dist, kind: str, i0: float) -> np.ndarray:
 def cmd_dde(args) -> int:
     params = EpidemicParams(rho=args.rho, gamma=args.gamma, alpha=args.alpha,
                             t_delay=args.t_delay)
-    window = (tuple(_parse_floats(args.fit_window)) if args.fit_window
+    window = (_parse_window(args.fit_window) if args.fit_window
               else default_fit_window(params, args.horizon))
     rate = args.history_rate if args.history == "exponential" else 0.0
     gap = None
@@ -224,8 +231,10 @@ def cmd_dde(args) -> int:
             raise ModelError("--system partitioned requires --dist")
         dist = load_distribution(args.dist)
         y0 = _partition_profile(dist, args.seed_profile, args.i0)
-        traj = integrate_partitioned(params, dist, exponential_history(y0, rate), args.horizon,
-                                     args.dt, dynamic_susceptibles=args.dynamic)
+        # the dynamic state is [X_1..X_n, Y_1..Y_n], with X_k(0) = N_k - Y_k(0)
+        state0 = np.concatenate((partition_sizes(dist) - y0, y0)) if args.dynamic else y0
+        traj = integrate_partitioned(params, dist, exponential_history(state0, rate),
+                                     args.horizon, args.dt, dynamic_susceptibles=args.dynamic)
         agg = infectious_fraction(traj, dist)
         fit = estimate_growth_rate(traj, agg, window)
         if args.paired:

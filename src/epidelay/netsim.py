@@ -8,14 +8,19 @@ probability alpha, t_delay (rounded to whole days) after the day it became
 infectious, and moves to Isolated at the start of that day if still
 infectious. Isolation is permanent and only blocks transmission.
 
-Each day draws its uniform variates in a fixed order and applies every
-node's transition at once with numpy. Runs within an ensemble use
-independently derived RNG streams; aggregation order is fixed, so results
-do not depend on the thread count.
+Each day draws three length-n uniform arrays in a fixed order, then sweeps
+only the frontier: infectious neighbors are counted from the CSR rows of
+the infectious nodes, infection is tested only on their susceptible
+neighbors, recovery only on infectious and isolated nodes, and isolation
+scheduling only on the newly infected. A day therefore costs the draws plus
+work proportional to the infected nodes' edges, whatever the graph size.
+Runs within an ensemble use independently derived RNG streams; aggregation
+order is fixed, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -85,9 +90,30 @@ def seed_infections(graph: ContactGraph, count: int, mode: str,
     return rng.choice(graph.node_count, size=count, replace=False, p=weights / weights.sum())
 
 
+@functools.lru_cache(maxsize=64)
 def infection_prob_table(rho: float, max_degree: int) -> np.ndarray:
-    """p[m] = 1 - (1-rho)^m, the chance that m infectious neighbors infect."""
-    return 1.0 - np.power(1.0 - rho, np.arange(max_degree + 1, dtype=np.float64))
+    """p[m] = 1 - (1-rho)^m, the chance that m infectious neighbors infect.
+
+    Memoized on (rho, max_degree); the shared table is read-only.
+    """
+    table = 1.0 - np.power(1.0 - rho, np.arange(max_degree + 1, dtype=np.float64))
+    table.setflags(write=False)
+    return table
+
+
+def _alive(status: np.ndarray) -> np.ndarray:
+    """Ascending indices of the infectious and isolated nodes."""
+    return np.flatnonzero((status == INFECTIOUS) | (status == ISOLATED))
+
+
+def _neighbor_entries(graph: ContactGraph, rows: np.ndarray) -> np.ndarray:
+    """The CSR neighbor lists of `rows`, concatenated."""
+    starts = graph.indptr[rows]
+    lens = graph.indptr[rows + 1] - starts
+    # entry j of row r sits at starts[r] + j; shift a running index so
+    # each row's block begins at its own start
+    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return graph.indices[np.arange(len(shift)) + shift]
 
 
 def init_state(graph: ContactGraph, seeds: np.ndarray, params: EpidemicParams,
@@ -109,17 +135,18 @@ def init_state(graph: ContactGraph, seeds: np.ndarray, params: EpidemicParams,
 
 
 def metrics_from_state(graph: ContactGraph, state: EpidemicState) -> DayMetrics:
-    counts = np.bincount(state.status, minlength=4)
-    infected_alive = (state.status == INFECTIOUS) | (state.status == ISOLATED)
-    n_alive = int(infected_alive.sum())
-    mean_deg = float(graph.degrees[infected_alive].mean()) if n_alive else math.nan
+    status = state.status
+    alive = _alive(status)
+    isolated = int(np.count_nonzero(status[alive] == ISOLATED))
+    removed = int(np.count_nonzero(status == REMOVED))
+    n_alive = len(alive)
     return DayMetrics(
         day=state.day,
-        s=int(counts[SUSCEPTIBLE]),
-        i=int(counts[INFECTIOUS]),
-        r=int(counts[REMOVED]),
-        isolated=int(counts[ISOLATED]),
-        mean_inf_degree=mean_deg,
+        s=graph.node_count - n_alive - removed,
+        i=n_alive - isolated,
+        r=removed,
+        isolated=isolated,
+        mean_inf_degree=float(graph.degrees[alive].mean()) if n_alive else math.nan,
     )
 
 
@@ -128,7 +155,8 @@ def step_day(graph: ContactGraph, state: EpidemicState, params: EpidemicParams,
     """Advance the epidemic one day in place and return the new day's metrics.
 
     Draws three length-n uniform arrays (infection, recovery, isolation) in
-    a fixed order, then applies the day's transitions to every node at once.
+    a fixed order; node v's transition reads only entry v of each, so
+    testing the frontier alone gives the same day as testing every node.
     """
     n = graph.node_count
     u_inf = rng.random(n)
@@ -137,20 +165,26 @@ def step_day(graph: ContactGraph, state: EpidemicState, params: EpidemicParams,
     p_table = infection_prob_table(params.rho, int(graph.degrees.max()))
     p_rec = -math.expm1(-params.gamma)
     status, day = state.status, state.day
-    # by symmetry, the sum of transmitting[] over CSR row w counts the
-    # infectious neighbors of w
-    transmitting = (status == INFECTIOUS).astype(np.int64)
-    cs = np.concatenate(([0], np.cumsum(transmitting[graph.indices])))
-    counts = cs[graph.indptr[1:]] - cs[graph.indptr[:-1]]
+    alive = _alive(status)
+    spreaders = alive[status[alive] == INFECTIOUS]
+    neighbors = _neighbor_entries(graph, spreaders)
+    # hits[w] counts the infectious neighbors of w; the graph is simple, so
+    # hits[w] <= degree(w) indexes p_table
+    hits = np.bincount(neighbors, minlength=n)
+    exposed = neighbors[status[neighbors] == SUSCEPTIBLE]
+    # a node listed once per infectious neighbor passes or fails every copy
+    # of its test alike
+    infect = np.unique(exposed[u_inf[exposed] < p_table[hits[exposed]]])
+    recover = alive[u_rec[alive] < p_rec]
 
-    recover = ((status == INFECTIOUS) | (status == ISOLATED)) & (u_rec < p_rec)
-    infect = (status == SUSCEPTIBLE) & (counts > 0) & (u_inf < p_table[counts])
     status[recover] = REMOVED
     status[infect] = INFECTIOUS
     state.inf_day[infect] = day + 1
-    schedule = infect & (u_iso < params.alpha)
+    schedule = infect[u_iso[infect] < params.alpha]
     state.iso_day[schedule] = day + 1 + int(round(params.t_delay))
-    due = (status == INFECTIOUS) & (state.iso_day == day + 1)
+    # isolation falls due only for nodes infectious yesterday or infected today
+    pool = np.concatenate((alive, infect))
+    due = pool[(status[pool] == INFECTIOUS) & (state.iso_day[pool] == day + 1)]
     status[due] = ISOLATED
     state.day += 1
     return metrics_from_state(graph, state)

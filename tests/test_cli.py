@@ -147,6 +147,29 @@ class TestDde:
         assert gap < 1e-6
         assert out.read_text().splitlines()[0] == "t,i_partitioned,i_reduced"
 
+    def test_partitioned_dynamic_matches_frozen_early(self, tmp_path, capsys):
+        dist = tmp_path / "dist.csv"
+        dist.write_text("k,count\n1,50\n9,50\n", encoding="utf-8")
+        rates = []
+        for extra in ([], ["--dynamic"]):
+            out = tmp_path / f"part{len(extra)}.csv"
+            assert run_cli("dde", "--system", "partitioned", "--dist", str(dist),
+                           "--rho", "0.075", "--alpha", "0.8", "--t-delay", "0.5",
+                           "--i0", "1e-8", *extra, "--out", str(out)) == 0
+            meta = dict(ln.split("=", 1) for ln in
+                        (tmp_path / f"{out.name}.meta").read_text().splitlines())
+            rates.append(float(meta["fitted_rate_per_day"]))
+        # susceptibles barely deplete from a tiny seed, so both systems
+        # grow at the frozen linearization's rate
+        assert rates[1] == pytest.approx(rates[0], rel=1e-3)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("window", ["10", "10,20,30", "nan,30", "10,inf", "30,10", "10,10"])
+    def test_malformed_fit_window(self, window, tmp_path, capsys):
+        assert run_cli("dde", "--system", "homogeneous", "--fit-window", window,
+                       "--out", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_partitioned_requires_dist(self, tmp_path, capsys):
         assert run_cli("dde", "--system", "partitioned",
                        "--out", str(tmp_path / "x.csv")) == 1

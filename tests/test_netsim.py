@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,12 @@ class TestInfectionProbabilities:
             step_day(g, state, base_params(rho=0.0), rng)
         infected_ever = np.sum(state.status != SUSCEPTIBLE)
         assert infected_ever == 10
+
+
+    def test_table_is_memoized_and_read_only(self):
+        table = infection_prob_table(0.2, 4)
+        assert infection_prob_table(0.2, 4) is table
+        assert not table.flags.writeable
 
 
 class TestSeeding:
@@ -127,6 +135,82 @@ class TestStepSemantics:
             for a, b in zip(prev_status[changed].tolist(), state.status[changed].tolist()):
                 assert (a, b) in allowed
             prev_status = state.status.copy()
+
+
+def dense_step_day(graph, state, params, rng):
+    """Reference day sweep over the whole graph: a cumsum over every CSR
+    entry counts each node's infectious neighbors, and every transition is
+    a full-length mask. Returns (s, i, r, isolated, mean_inf_degree)."""
+    n = graph.node_count
+    u_inf = rng.random(n)
+    u_rec = rng.random(n)
+    u_iso = rng.random(n)
+    p_table = 1.0 - np.power(1.0 - params.rho,
+                             np.arange(graph.degrees.max() + 1, dtype=np.float64))
+    p_rec = -math.expm1(-params.gamma)
+    status, day = state.status, state.day
+    transmitting = (status == INFECTIOUS).astype(np.int64)
+    cs = np.concatenate(([0], np.cumsum(transmitting[graph.indices])))
+    counts = cs[graph.indptr[1:]] - cs[graph.indptr[:-1]]
+    recover = ((status == INFECTIOUS) | (status == ISOLATED)) & (u_rec < p_rec)
+    infect = (status == SUSCEPTIBLE) & (counts > 0) & (u_inf < p_table[counts])
+    status[recover] = REMOVED
+    status[infect] = INFECTIOUS
+    state.inf_day[infect] = day + 1
+    schedule = infect & (u_iso < params.alpha)
+    state.iso_day[schedule] = day + 1 + int(round(params.t_delay))
+    due = (status == INFECTIOUS) & (state.iso_day == day + 1)
+    status[due] = ISOLATED
+    state.day += 1
+    tally = np.bincount(status, minlength=4)
+    alive = (status == INFECTIOUS) | (status == ISOLATED)
+    mean_deg = float(graph.degrees[alive].mean()) if alive.any() else math.nan
+    return (int(tally[SUSCEPTIBLE]), int(tally[INFECTIOUS]), int(tally[REMOVED]),
+            int(tally[ISOLATED]), mean_deg)
+
+
+def assert_matches_dense(graph, params, seeds, days=30):
+    """Run step_day and the dense reference side by side on one stream each;
+    return the per-day infectious counts."""
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    state = init_state(graph, seeds, params, rng)
+    ref = init_state(graph, seeds, params, ref_rng)
+    infectious = []
+    for _ in range(days):
+        m = step_day(graph, state, params, rng)
+        s, i, r, iso, mean_deg = dense_step_day(graph, ref, params, ref_rng)
+        assert (m.day, m.s, m.i, m.r, m.isolated) == (ref.day, s, i, r, iso)
+        assert (np.float64(m.mean_inf_degree).view(np.int64)
+                == np.float64(mean_deg).view(np.int64))
+        for name in ("status", "iso_day", "inf_day"):
+            assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+        infectious.append(i)
+    return infectious
+
+
+class TestFrontierSweepOracle:
+    """step_day touches only the frontier yet must give the same day,
+    bit for bit, as sweeping every node."""
+
+    @pytest.mark.parametrize("kind", ["config-poisson", "barabasi-albert",
+                                      "watts-strogatz"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("t_delay", [0.0, 1.0, 3.0])
+    def test_identical_to_dense_sweep(self, kind, alpha, t_delay):
+        g = generate_graph(kind, 2000, 4.0, 21)
+        p = base_params(alpha=alpha, t_delay=t_delay)
+        seeds = seed_infections(g, 20, "uniform", np.random.default_rng(5))
+        infectious = assert_matches_dense(g, p, seeds)
+        if alpha == 1.0 and t_delay == 0.0:
+            # every seed is isolated on day 1, so the frontier stays empty
+            assert max(infectious) == 0
+
+    def test_degree_zero_nodes_infectious(self):
+        g = generate_graph("config-poisson", 2000, 4.0, 21)
+        isolated_nodes = np.flatnonzero(g.degrees == 0)
+        assert len(isolated_nodes) >= 5
+        seeds = np.concatenate((isolated_nodes[:5], np.flatnonzero(g.degrees > 0)[:15]))
+        assert_matches_dense(g, base_params(alpha=0.6, t_delay=1.0), seeds)
 
 
 class TestEnsemble:
