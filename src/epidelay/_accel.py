@@ -1,10 +1,10 @@
 """Optional numba compilation.
 
-The DDE stepper and the Barabási–Albert attach loop are written as plain
-loops over numpy arrays. When numba is installed (the ``accel`` extra) they
-are compiled with ``numba.njit``; otherwise they run as ordinary Python.
-There is one implementation of each, so results do not depend on which way
-it runs.
+The DDE stepper is written as plain loops over numpy arrays. When numba is
+installed (the ``accel`` extra) it is compiled with ``numba.njit``; otherwise
+it runs as ordinary Python. There is one implementation, so results do not
+depend on which way it runs. The graph generators and the network day sweep
+are numpy only.
 """
 
 try:

@@ -164,9 +164,7 @@ def cmd_classify(args) -> int:
     params = EpidemicParams(rho=0.0, gamma=args.gamma, alpha=args.alpha, t_delay=args.t_delay)
     beta_h = rho * stats.mu * stats.h
     verdict = homogeneous_delay_bound(params, beta_h / args.gamma)
-    r0, re = reproduction_numbers(
-        beta_h, EpidemicParams(rho=0.0, gamma=args.gamma, alpha=args.alpha, t_delay=args.t_delay)
-    )
+    r0, re = reproduction_numbers(beta_h, params)
     kind = verdict.kind
     if kind is VerdictKind.UNCONDITIONALLY_STABLE:
         headline = "stable at any isolation delay"

@@ -12,6 +12,18 @@ ensembles of 1e5..1e6-node graphs:
 
 Generated graphs are undirected and simple; the empirical mean degree must
 land within 2% of the request or generation fails.
+
+Barabási–Albert uses the repeated-nodes method (Batagelj & Brandes, Phys.
+Rev. E 71, 036113, 2005): each new node attaches to m distinct nodes drawn
+uniformly from the list of all edge endpoints so far, a repeated draw being
+rejected and redrawn. Watts–Strogatz rewires the chosen ring edges in ring
+order, each to the first uniform draw that is neither the node itself nor
+an existing neighbour, giving up after 1000 draws. Both are defined as that
+sequential loop over one stream of uniform draws, and both are computed in
+numpy chunks that assume no draw is rejected, check the assumption, and
+take the first rejecting row or edge one draw at a time. The output equals
+the sequential definition draw for draw, so a seed gives the same graph
+either way.
 """
 
 from __future__ import annotations
@@ -21,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import maybe_njit
 from .params import DegreeDistribution, ModelError
 
 GRAPH_KINDS = ("config-poisson", "barabasi-albert", "watts-strogatz")
@@ -70,11 +81,28 @@ class ContactGraph:
                     fh.write(f"{u} {v}\n")
 
 
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) for a 1-d integer array, by a sort and an adjacent-difference
+    mask (np.unique hashes integer input on numpy >= 2.3, which is slower)."""
+    a = np.sort(a)
+    if a.size > 1:
+        keep = np.empty(a.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(a[1:], a[:-1], out=keep[1:])
+        a = a[keep]
+    return a
+
+
 def _csr_from_edges(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the distinct edges lo < hi. Row u lists its neighbours above u
+    ascending, then those below u ascending: one sort of the key
+    end*2n + (other < end)*n + other gives that order."""
     ends = np.concatenate([lo, hi])
     other = np.concatenate([hi, lo])
-    order = np.argsort(ends, kind="stable")
-    indices = np.ascontiguousarray(other[order], dtype=np.int32)
+    key = ends * (2 * n) + other
+    key += (other < ends) * n
+    key.sort()
+    indices = np.ascontiguousarray(key % n, dtype=np.int32)
     counts = np.bincount(ends, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -86,7 +114,7 @@ def _dedupe_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.
     u, v = u[keep], v[keep]
     lo = np.minimum(u, v).astype(np.int64)
     hi = np.maximum(u, v).astype(np.int64)
-    keys = np.unique(lo * n + hi)
+    keys = sorted_unique(lo * n + hi)
     return keys // n, keys % n
 
 
@@ -100,59 +128,206 @@ def _config_poisson(n: int, mu: float, rng: np.random.Generator):
     return _dedupe_edges(n, stubs[0::2], stubs[1::2])
 
 
-@maybe_njit(cache=True)
-def _ba_attach(m: int, n: int, repeated: np.ndarray, targets: np.ndarray,
-               edges_u: np.ndarray, edges_v: np.ndarray, uniforms: np.ndarray) -> int:
-    """Preferential-attachment loop. targets holds the current attachment
-    set (m distinct nodes); uniforms is an oversized buffer of U(0,1) draws.
-    Returns draws consumed, or -1 if the buffer ran out."""
-    rep_len = 0
-    ptr = 0
-    e = 0
-    for t in range(m, n):
-        for j in range(m):
-            edges_u[e] = t
-            edges_v[e] = targets[j]
-            e += 1
-        for j in range(m):
-            repeated[rep_len] = targets[j]
-            repeated[rep_len + 1] = t
-            rep_len += 2
-        # next attachment set: m distinct draws weighted by degree
-        filled = 0
-        while filled < m:
+def _ba_attach(m: int, n: int, uniforms: np.ndarray) -> tuple[np.ndarray, int]:
+    """Attachment sets of the repeated-nodes method, from a buffer of U(0,1)
+    draws. Returns (table, draws consumed), or (table, -1) if the buffer
+    ran out.
+
+    table[r] holds the m distinct targets of node m + r; row 0 is 0..m-1
+    and row n - m is the set drawn after the last node. Before row r is
+    drawn the repeated list holds, for each earlier row b, the pairs
+    (table[b, j], m + b), so position p is node m + p // 2m when p is odd
+    and table[p // 2m, (p % 2m) // 2] when p is even. Each draw picks
+    position int(u * 2m*r); a draw equal to one already in the row is
+    rejected and the next draw is taken.
+
+    Rows are drawn a chunk at a time on the guess that none rejects: m draws
+    per row, even positions inside the chunk resolved by pointer jumping.
+    Rows before the first one holding a duplicate are then exact; that row
+    is redrawn one draw at a time, and the next chunk starts after it.
+    """
+    rows = n - m + 1
+    two_m = 2 * m
+    table = np.empty((rows, m), dtype=np.int64)
+    table[0] = np.arange(m)
+    ptr, r, chunk = 0, 1, 16
+    while r < rows:
+        c = min(chunk, rows - r, (uniforms.shape[0] - ptr) // m)
+        k = 0
+        if c > 1:
+            rep_len = np.arange(two_m * r, two_m * (r + c), two_m, dtype=np.float64)
+            pos = (uniforms[ptr: ptr + c * m].reshape(c, m) * rep_len[:, None]).astype(np.int64).ravel()
+            block, slot = np.divmod(pos, two_m)
+            val = m + block
+            even = slot % 2 == 0
+            col = slot // 2
+            known = even & (block < r)
+            val[known] = table[block[known], col[known]]
+            pend = np.flatnonzero(even & (block >= r))
+            ref = np.full(c * m, -1, dtype=np.int64)
+            ref[pend] = (block[pend] - r) * m + col[pend]
+            # references point to earlier rows only, so jumping ends
+            while pend.size:
+                to = ref[pend]
+                nxt = ref[to]
+                done = nxt < 0
+                val[pend[done]] = val[to[done]]
+                ref[pend[done]] = -1
+                pend = pend[~done]
+                ref[pend] = nxt[~done]
+            val = val.reshape(c, m)
+            k = c
+            if m > 1:
+                srt = np.sort(val, axis=1)
+                dup = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+                if dup.any():
+                    k = int(dup.argmax())
+            table[r: r + k] = val[:k]
+            ptr += k * m
+            r += k
+            if k == c:
+                chunk = 2 * c
+                continue
+        chunk = max(16, 2 * k)
+        # row r redrawn with the rejection rule, one draw at a time
+        rep_len = two_m * r
+        got: list[int] = []
+        while len(got) < m:
             if ptr >= uniforms.shape[0]:
-                return -1
-            cand = repeated[int(uniforms[ptr] * rep_len)]
+                return table, -1
+            block, slot = divmod(int(uniforms[ptr] * rep_len), two_m)
             ptr += 1
-            dup = False
-            for j in range(filled):
-                if targets[j] == cand:
-                    dup = True
-                    break
-            if not dup:
-                targets[filled] = cand
-                filled += 1
-    return ptr
+            cand = m + block if slot % 2 else int(table[block, slot // 2])
+            if cand not in got:
+                got.append(cand)
+        table[r] = got
+        r += 1
+    return table, ptr
 
 
 def _barabasi_albert(n: int, mu: float, rng: np.random.Generator):
     m = max(1, int(round(mu / 2.0)))
     if m >= n:
         raise ModelError(f"attachment count m={m} must be below node count {n}")
-    n_edges = m * (n - m)
-    repeated = np.empty(2 * n_edges, dtype=np.int64)
-    targets = np.arange(m, dtype=np.int64)
-    edges_u = np.empty(n_edges, dtype=np.int64)
-    edges_v = np.empty(n_edges, dtype=np.int64)
     overdraw = int(2.5 * m * (n - m)) + 1024
     while True:
         uniforms = rng.random(overdraw)
-        used = _ba_attach(m, n, repeated, targets.copy(), edges_u, edges_v, uniforms)
+        table, used = _ba_attach(m, n, uniforms)
         if used >= 0:
             break
         overdraw *= 2
-    return _dedupe_edges(n, edges_u, edges_v)
+    edges_u = np.repeat(np.arange(m, n, dtype=np.int64), m)
+    return _dedupe_edges(n, edges_u, table[: n - m].ravel())
+
+
+class _EdgeKeys:
+    """A set of edge keys lo*n + hi: a sorted base with a removed mask, plus
+    a sorted array of the keys added since the base was last rebuilt.
+
+    Only ring keys are removed, each once, when its edge is rewired; until
+    then it stays in the base, so a removal only marks the base. The added
+    keys are folded into the base once they reach an eighth of it, which
+    bounds both the insert cost and the number of rebuilds.
+    """
+
+    def __init__(self, n: int, keys: np.ndarray):
+        self.n = n
+        self.base = np.sort(keys)
+        self.gone = np.zeros(self.base.size, dtype=bool)
+        self.added = np.empty(0, dtype=np.int64)
+
+    def contains(self, q: np.ndarray) -> np.ndarray:
+        at = np.minimum(np.searchsorted(self.base, q), self.base.size - 1)
+        found = (self.base[at] == q) & ~self.gone[at]
+        if self.added.size:
+            at = np.minimum(np.searchsorted(self.added, q), self.added.size - 1)
+            found |= self.added[at] == q
+        return found
+
+    def free(self, a, w: np.ndarray) -> np.ndarray:
+        """Mask of the draws w that would give node a a new neighbour."""
+        return (w != a) & ~self.contains(np.minimum(a, w) * self.n + np.maximum(a, w))
+
+    def replace(self, old: np.ndarray, new: np.ndarray) -> None:
+        """Remove the base keys `old` and add the absent, distinct keys `new`."""
+        self.gone[np.searchsorted(self.base, old)] = True
+        new = np.sort(new)
+        self.added = np.insert(self.added, np.searchsorted(self.added, new), new)
+        if self.added.size * 8 > self.base.size:
+            self.base = np.sort(np.concatenate((self.base[~self.gone], self.added)))
+            self.gone = np.zeros(self.base.size, dtype=bool)
+            self.added = self.added[:0]
+
+
+def _ws_rewire(n: int, u: np.ndarray, v: np.ndarray, rewire_idx: np.ndarray,
+               rng: np.random.Generator) -> None:
+    """Rewire the edges rewire_idx in order, in place: edge i = (a, b) moves
+    to (a, w) for the first draw w = int(U * n) with w != a and (a, w) not
+    already an edge, or keeps b after 1000 rejected draws. The draws come
+    from a buffer of 4 * len(rewire_idx) + 64 uniforms, refilled with
+    another buffer of the same size when it runs out.
+
+    A chunk of edges is tried on the guess that each accepts its first
+    draw. Every edge before the first flagged one (w == a, the new key
+    already present, or repeated within the chunk) is then exact, and the
+    flagged edge is resolved alone. A chunk with no flag doubles the next
+    one; a flag after k clean edges sets it to 2k, so while flags are dense
+    the edges are taken one at a time.
+    """
+    size = 4 * rewire_idx.size + 64
+    buf = rng.random(size)
+    ptr = 0
+    a_all = u[rewire_idx]
+    old_all = np.minimum(a_all, v[rewire_idx]) * n + np.maximum(a_all, v[rewire_idx])
+    edges = _EdgeKeys(n, np.minimum(u, v) * n + np.maximum(u, v))
+    e, chunk = 0, 64
+    while e < rewire_idx.size:
+        c = min(chunk, rewire_idx.size - e)
+        if buf.size - ptr < max(c, 1000):
+            # the buffers are consecutive pieces of one stream, so drawing
+            # several at once gives the same values as refilling one by one
+            buf = np.concatenate((buf[ptr:], rng.random(size * (1 + 1000 // size))))
+            ptr = 0
+        if c > 1:
+            a = a_all[e: e + c]
+            w = (buf[ptr: ptr + c] * n).astype(np.int64)
+            keys = np.minimum(a, w) * n + np.maximum(a, w)
+            flag = ~edges.free(a, w)
+            srt = np.sort(keys)
+            if (srt[1:] == srt[:-1]).any():
+                order = np.argsort(keys, kind="stable")
+                flag[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+            k = int(flag.argmax()) if flag.any() else c
+            if k:
+                v[rewire_idx[e: e + k]] = w[:k]
+                edges.replace(old_all[e: e + k], keys[:k])
+                ptr += k
+                e += k
+            if k == c:
+                chunk = 2 * c
+                continue
+            chunk = max(1, 2 * k)
+        # edge e alone: up to 1000 draws, all tested against the same set,
+        # the first 16 before the rest; below 1000 nodes it is cheaper to
+        # test every w in 0..n-1 once
+        a = a_all[e]
+        w = (buf[ptr: ptr + 1000] * n).astype(np.int64)
+        if n <= 1000:
+            ok = edges.free(a, np.arange(n))[w]
+        else:
+            ok = edges.free(a, w[:16])
+            if not ok.any():
+                ok = np.concatenate((ok, edges.free(a, w[16:])))
+        if ok.any():
+            j = int(ok.argmax())
+            v[rewire_idx[e]] = w[j]
+            edges.replace(old_all[e: e + 1], np.array([min(a, w[j]) * n + max(a, w[j])]))
+            ptr += j + 1
+            if j == 0:  # leave one-edge steps once an edge takes its first draw
+                chunk = max(chunk, 2)
+        else:
+            ptr += 1000  # a saturated node keeps its edge; only possible at k ~ n
+        e += 1
 
 
 def _watts_strogatz(n: int, mu: float, rewire_p: float, rng: np.random.Generator):
@@ -165,27 +340,8 @@ def _watts_strogatz(n: int, mu: float, rewire_p: float, rng: np.random.Generator
     u = np.repeat(np.arange(n, dtype=np.int64), half)
     v = (u + np.tile(np.arange(1, half + 1, dtype=np.int64), n)) % n
     if rewire_p > 0.0:
-        edge_set = set((min(a, b) * n + max(a, b)) for a, b in zip(u.tolist(), v.tolist()))
         decide = rng.random(u.size)
-        rewire_idx = np.flatnonzero(decide < rewire_p)
-        buf = rng.random(4 * rewire_idx.size + 64)
-        ptr = 0
-        for i in rewire_idx.tolist():
-            a, b = int(u[i]), int(v[i])
-            old_key = min(a, b) * n + max(a, b)
-            for _ in range(1000):
-                if ptr >= buf.size:
-                    buf = rng.random(buf.size)
-                    ptr = 0
-                w = int(buf[ptr] * n)
-                ptr += 1
-                new_key = min(a, w) * n + max(a, w)
-                if w != a and new_key not in edge_set:
-                    edge_set.discard(old_key)
-                    edge_set.add(new_key)
-                    v[i] = w
-                    break
-            # a saturated node keeps its edge; only possible at k ~ n
+        _ws_rewire(n, u, v, np.flatnonzero(decide < rewire_p), rng)
     return _dedupe_edges(n, u, v)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ContactGraph, generate_graph
+from .graphs import ContactGraph, generate_graph, sorted_unique
 from .params import EpidemicParams, ModelError
 
 SUSCEPTIBLE = 0
@@ -174,7 +174,7 @@ def step_day(graph: ContactGraph, state: EpidemicState, params: EpidemicParams,
     exposed = neighbors[status[neighbors] == SUSCEPTIBLE]
     # a node listed once per infectious neighbor passes or fails every copy
     # of its test alike
-    infect = np.unique(exposed[u_inf[exposed] < p_table[hits[exposed]]])
+    infect = sorted_unique(exposed[u_inf[exposed] < p_table[hits[exposed]]])
     recover = alive[u_rec[alive] < p_rec]
 
     status[recover] = REMOVED

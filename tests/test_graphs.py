@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from epidelay.graphs import ContactGraph, generate_graph
+from epidelay.graphs import (ContactGraph, _ba_attach, _dedupe_edges, _ws_rewire, generate_graph,
+                             sorted_unique)
 from epidelay.params import ModelError
 
 
@@ -112,3 +113,185 @@ class TestValidation:
         assert len(lines) == g.edge_count
         u, v = map(int, lines[0].split())
         assert v in g.neighbors(u)
+
+
+# --- reference: the sequential definitions the vectorised generators reproduce
+
+
+def _ref_dedupe(n, u, v):
+    keep = u != v
+    u, v = u[keep], v[keep]
+    lo = np.minimum(u, v).astype(np.int64)
+    hi = np.maximum(u, v).astype(np.int64)
+    keys = np.unique(lo * n + hi)
+    return keys // n, keys % n
+
+
+def _ref_csr(n, lo, hi):
+    ends = np.concatenate([lo, hi])
+    other = np.concatenate([hi, lo])
+    order = np.argsort(ends, kind="stable")
+    indices = np.ascontiguousarray(other[order], dtype=np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+    return indptr, indices
+
+
+def _ref_ba_attach(m, n, uniforms):
+    """The repeated-nodes loop one draw at a time; (edges_u, edges_v, draws
+    consumed), or (None, None, -1) when the buffer runs out."""
+    repeated = np.empty(2 * m * (n - m), dtype=np.int64)
+    targets = list(range(m))
+    edges_u, edges_v = [], []
+    rep_len = ptr = 0
+    for t in range(m, n):
+        for j in range(m):
+            edges_u.append(t)
+            edges_v.append(targets[j])
+            repeated[rep_len] = targets[j]
+            repeated[rep_len + 1] = t
+            rep_len += 2
+        filled = 0
+        while filled < m:
+            if ptr >= uniforms.shape[0]:
+                return None, None, -1
+            cand = int(repeated[int(uniforms[ptr] * rep_len)])
+            ptr += 1
+            if cand not in targets[:filled]:
+                targets[filled] = cand
+                filled += 1
+    return np.array(edges_u, dtype=np.int64), np.array(edges_v, dtype=np.int64), ptr
+
+
+def _ref_ws_rewire(n, u, v, rewire_idx, rng):
+    edge_set = set((min(a, b) * n + max(a, b)) for a, b in zip(u.tolist(), v.tolist()))
+    buf = rng.random(4 * rewire_idx.size + 64)
+    ptr = 0
+    for i in rewire_idx.tolist():
+        a, b = int(u[i]), int(v[i])
+        old_key = min(a, b) * n + max(a, b)
+        for _ in range(1000):
+            if ptr >= buf.size:
+                buf = rng.random(buf.size)
+                ptr = 0
+            w = int(buf[ptr] * n)
+            ptr += 1
+            new_key = min(a, w) * n + max(a, w)
+            if w != a and new_key not in edge_set:
+                edge_set.discard(old_key)
+                edge_set.add(new_key)
+                v[i] = w
+                break
+
+
+def _ref_graph(kind, n, mu, seed, ws_rewire):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if kind == "config-poisson":
+        deg = rng.poisson(mu, n)
+        idx = int(rng.integers(n))
+        while int(deg.sum()) % 2 == 1:
+            deg[idx] = rng.poisson(mu)
+        stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
+        stubs = stubs[rng.permutation(stubs.size)]
+        u, v = stubs[0::2], stubs[1::2]
+    elif kind == "barabasi-albert":
+        m = max(1, int(round(mu / 2.0)))
+        overdraw = int(2.5 * m * (n - m)) + 1024
+        while True:
+            u, v, used = _ref_ba_attach(m, n, rng.random(overdraw))
+            if used >= 0:
+                break
+            overdraw *= 2
+    else:
+        half = int(round(mu / 2.0))
+        u = np.repeat(np.arange(n, dtype=np.int64), half)
+        v = (u + np.tile(np.arange(1, half + 1, dtype=np.int64), n)) % n
+        if ws_rewire > 0.0:
+            decide = rng.random(u.size)
+            _ref_ws_rewire(n, u, v, np.flatnonzero(decide < ws_rewire), rng)
+    indptr, indices = _ref_csr(n, *_ref_dedupe(n, u, v))
+    return indptr, indices, np.diff(indptr).astype(np.int32)
+
+
+def _assert_bitwise_equal(g: ContactGraph, ref):
+    for got, want in zip((g.indptr, g.indices, g.degrees), ref):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+ORACLE_GRID = [
+    (kind, n, mu, p)
+    for n in (100, 2000, 100_000)
+    for mu in (4.0, 6.0, 10.0)
+    for kind, rewires in (("config-poisson", (0.1,)), ("barabasi-albert", (0.1,)),
+                          ("watts-strogatz", (0.0, 0.1, 0.5, 1.0)))
+    for p in rewires
+]
+
+
+class TestGeneratorOracle:
+    """The vectorised generators, sort-based dedupe and CSR assembly give the
+    same graph as the sequential definitions, draw for draw."""
+
+    @pytest.mark.parametrize("kind,n,mu,p", ORACLE_GRID)
+    def test_grid_matches_reference(self, kind, n, mu, p):
+        seed = 1000 + n + int(10 * mu) + int(100 * p)
+        _assert_bitwise_equal(generate_graph(kind, n, mu, seed, ws_rewire=p),
+                              _ref_graph(kind, n, mu, seed, p))
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
+    def test_saturated_ring(self, p):
+        # k = 98 on 101 nodes: most draws collide and some edges exhaust
+        # their 1000 tries, so the buffer is refilled mid-edge
+        for seed in (3, 4):
+            _assert_bitwise_equal(generate_graph("watts-strogatz", 101, 98.0, seed, ws_rewire=p),
+                                  _ref_graph("watts-strogatz", 101, 98.0, seed, p))
+
+    def test_crowded_node_rewire(self):
+        # node 0 of 2000 is joined to 1990 others, so each of its rewired
+        # edges has 9 free targets: most need over 16 draws, about 2% exhaust
+        # their 1000, and the draw buffer is refilled many times
+        n = 2000
+        u = np.zeros(1990, dtype=np.int64)
+        v0 = np.arange(1, 1991, dtype=np.int64)
+        rewire_idx = np.arange(0, 1990, 2)
+        want, got = v0.copy(), v0.copy()
+        _ref_ws_rewire(n, u, want, rewire_idx, np.random.default_rng(5))
+        _ws_rewire(n, u, got, rewire_idx, np.random.default_rng(5))
+        assert np.array_equal(got, want)
+        assert np.count_nonzero(want != v0) > 900
+
+    def test_duplicate_heavy_attach(self):
+        # m = 5 on 300 nodes: early rows reject draws again and again
+        for seed in range(5):
+            _assert_bitwise_equal(generate_graph("barabasi-albert", 300, 10.0, seed),
+                                  _ref_graph("barabasi-albert", 300, 10.0, seed, 0.1))
+
+    @pytest.mark.parametrize("m,n", [(1, 200), (2, 500), (5, 300)])
+    def test_attach_buffer_exhaustion(self, m, n):
+        uniforms = np.random.default_rng(m * n).random(3 * m * n)
+        ref_u, ref_v, used = _ref_ba_attach(m, n, uniforms)
+        assert used > 0
+        # the last draw belongs to the set drawn after the last node, so a
+        # buffer one short runs out there; the others run out part way
+        for size in (used, used + 1, used - 1, used - m, used // 2, 3 * m, m - 1, 0):
+            table, got = _ba_attach(m, n, uniforms[:size])
+            want = _ref_ba_attach(m, n, uniforms[:size])[2]
+            assert got == want, size
+            if got >= 0:
+                assert np.array_equal(table[: n - m].ravel(), ref_v)
+                assert np.array_equal(np.repeat(np.arange(m, n), m), ref_u)
+
+
+def test_dedupe_matches_unique():
+    rng = np.random.default_rng(11)
+    n = 500
+    for size in (0, 1, 2, 50, 20_000):
+        u = rng.integers(0, n, size)
+        v = np.where(rng.random(size) < 0.1, u, rng.integers(0, n, size))
+        lo, hi = _dedupe_edges(n, u, v)
+        ref_lo, ref_hi = _ref_dedupe(n, u, v)
+        assert lo.dtype == ref_lo.dtype and hi.dtype == ref_hi.dtype
+        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+    keys = rng.integers(0, 40, 1000)
+    assert np.array_equal(sorted_unique(keys), np.unique(keys))
