@@ -21,9 +21,9 @@ order, each to the first uniform draw that is neither the node itself nor
 an existing neighbour, giving up after 1000 draws. Both are defined as that
 sequential loop over one stream of uniform draws, and both are computed in
 numpy chunks that assume no draw is rejected, check the assumption, and
-take the first rejecting row or edge one draw at a time. The output equals
-the sequential definition draw for draw, so a seed gives the same graph
-either way.
+resolve the first rejecting row or edge alone by the sequential rule. The
+output equals the sequential definition draw for draw, so a seed gives the
+same graph either way.
 """
 
 from __future__ import annotations
@@ -270,9 +270,9 @@ def _ws_rewire(n: int, u: np.ndarray, v: np.ndarray, rewire_idx: np.ndarray,
     A chunk of edges is tried on the guess that each accepts its first
     draw. Every edge before the first flagged one (w == a, the new key
     already present, or repeated within the chunk) is then exact, and the
-    flagged edge is resolved alone. A chunk with no flag doubles the next
-    one; a flag after k clean edges sets it to 2k, so while flags are dense
-    the edges are taken one at a time.
+    flagged edge is resolved alone over its next 1000 draws, all tested
+    against the same set. A chunk with no flag doubles the next one; a flag
+    after k clean edges sets it to max(1, 2k).
     """
     size = 4 * rewire_idx.size + 64
     buf = rng.random(size)
@@ -283,48 +283,38 @@ def _ws_rewire(n: int, u: np.ndarray, v: np.ndarray, rewire_idx: np.ndarray,
     e, chunk = 0, 64
     while e < rewire_idx.size:
         c = min(chunk, rewire_idx.size - e)
-        if buf.size - ptr < max(c, 1000):
+        if buf.size - ptr < c + 1000:
+            # the chunk and then a flagged edge's 1000 draws must be buffered;
             # the buffers are consecutive pieces of one stream, so drawing
-            # several at once gives the same values as refilling one by one
-            buf = np.concatenate((buf[ptr:], rng.random(size * (1 + 1000 // size))))
+            # more at once gives the same values as refilling one by one
+            buf = np.concatenate((buf[ptr:], rng.random(size + 1000)))
             ptr = 0
-        if c > 1:
-            a = a_all[e: e + c]
-            w = (buf[ptr: ptr + c] * n).astype(np.int64)
-            keys = np.minimum(a, w) * n + np.maximum(a, w)
-            flag = ~edges.free(a, w)
-            srt = np.sort(keys)
-            if (srt[1:] == srt[:-1]).any():
-                order = np.argsort(keys, kind="stable")
-                flag[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
-            k = int(flag.argmax()) if flag.any() else c
-            if k:
-                v[rewire_idx[e: e + k]] = w[:k]
-                edges.replace(old_all[e: e + k], keys[:k])
-                ptr += k
-                e += k
-            if k == c:
-                chunk = 2 * c
-                continue
-            chunk = max(1, 2 * k)
-        # edge e alone: up to 1000 draws, all tested against the same set,
-        # the first 16 before the rest; below 1000 nodes it is cheaper to
-        # test every w in 0..n-1 once
+        a = a_all[e: e + c]
+        w = (buf[ptr: ptr + c] * n).astype(np.int64)
+        keys = np.minimum(a, w) * n + np.maximum(a, w)
+        flag = ~edges.free(a, w)
+        srt = np.sort(keys)
+        if (srt[1:] == srt[:-1]).any():
+            order = np.argsort(keys, kind="stable")
+            flag[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+        k = int(flag.argmax()) if flag.any() else c
+        if k:
+            v[rewire_idx[e: e + k]] = w[:k]
+            edges.replace(old_all[e: e + k], keys[:k])
+            ptr += k
+            e += k
+        if k == c:
+            chunk = 2 * c
+            continue
+        chunk = max(1, 2 * k)
         a = a_all[e]
         w = (buf[ptr: ptr + 1000] * n).astype(np.int64)
-        if n <= 1000:
-            ok = edges.free(a, np.arange(n))[w]
-        else:
-            ok = edges.free(a, w[:16])
-            if not ok.any():
-                ok = np.concatenate((ok, edges.free(a, w[16:])))
+        ok = edges.free(a, w)
         if ok.any():
             j = int(ok.argmax())
             v[rewire_idx[e]] = w[j]
             edges.replace(old_all[e: e + 1], np.array([min(a, w[j]) * n + max(a, w[j])]))
             ptr += j + 1
-            if j == 0:  # leave one-edge steps once an edge takes its first draw
-                chunk = max(chunk, 2)
         else:
             ptr += 1000  # a saturated node keeps its edge; only possible at k ~ n
         e += 1

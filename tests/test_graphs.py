@@ -261,6 +261,24 @@ class TestGeneratorOracle:
         assert np.array_equal(got, want)
         assert np.count_nonzero(want != v0) > 900
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flag_after_partial_chunk_near_buffer_end(self, seed):
+        # 290 clean rewires, one edge of a node joined to every other node,
+        # then 10 clean rewires: 301 rewires buffer 1268 draws, the third
+        # chunk (edges 192..300) starts with 1076 left and stops at edge 290
+        # with 978 left, so the saturated edge's 1000 draws cross the refill
+        n, lead, tail = 2000, 290, 10
+        path = np.arange(1, lead + tail + 1, dtype=np.int64)
+        u = np.concatenate([np.zeros(n - 1, dtype=np.int64), path])
+        v0 = np.concatenate([np.arange(1, n, dtype=np.int64), path + 1])
+        rewire_idx = np.concatenate([n - 1 + np.arange(lead), [0],
+                                     n - 1 + lead + np.arange(tail)])
+        want, got = v0.copy(), v0.copy()
+        _ref_ws_rewire(n, u, want, rewire_idx, np.random.default_rng(seed))
+        _ws_rewire(n, u, got, rewire_idx, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+        assert want[0] == v0[0] and np.count_nonzero(want != v0) > 280
+
     def test_duplicate_heavy_attach(self):
         # m = 5 on 300 nodes: early rows reject draws again and again
         for seed in range(5):
