@@ -54,6 +54,7 @@ from .params import (
 from .stability import (
     NumericalError,
     VerdictKind,
+    heterogeneous_delay_bound,
     homogeneous_delay_bound,
 )
 
@@ -109,19 +110,10 @@ def _write_sidecar(out_path: str, args: argparse.Namespace, extra: dict | None =
             fh.write(f"{key}={entries[key]}\n")
 
 
-def _stats_from_args(args) -> tuple[DegreeStats, float]:
-    """Resolve (stats, rho) from either a distribution file or (--r0, --cv)."""
-    if args.dist is not None:
-        if args.rho is None:
-            raise ModelError("--dist requires --rho")
-        mode = HeterogeneityMode.FIXED_GRAPH if getattr(args, "fixed_graph", False) \
-            else HeterogeneityMode.MIXED_POPULATION
-        return compute_stats(load_distribution(args.dist), mode), args.rho
-    if args.r0 is None:
-        raise ModelError("provide either --dist with --rho, or --r0 (with optional --cv)")
-    # encode r0 = rho*mu/gamma with a unit-mean synthetic distribution
-    stats = DegreeStats.from_mu_cv(1.0, args.cv)
-    return stats, args.r0 * args.gamma
+def _scaled_r0(r0: float, cv: float) -> float:
+    """Homogeneous-equivalent R0 of a population whose degree coefficient of
+    variation is cv: heterogeneity multiplies R0 by h = 1 + cv^2."""
+    return r0 * DegreeStats.from_mu_cv(1.0, cv).h
 
 
 def cmd_bound(args) -> int:
@@ -130,26 +122,19 @@ def cmd_bound(args) -> int:
         raise ModelError("need at least one alpha")
     if (args.r0_range is None) == (args.cv_range is None):
         raise ModelError("exactly one of --r0-range / --cv-range is required")
-    rows = []
     if args.r0_range is not None:
-        xs = _parse_range(args.r0_range)
-        for alpha in alphas:
-            params = EpidemicParams(rho=0.0, gamma=args.gamma, alpha=alpha, t_delay=0.0)
-            for x in xs:
-                verdict = homogeneous_delay_bound(params, float(x))
-                rows.append((float(x), alpha, verdict))
+        xs = r0s = _parse_range(args.r0_range).tolist()
     else:
         if args.r0 is None:
             raise ModelError("--cv-range requires --r0")
         xs = np.unique(np.concatenate([_parse_range(args.cv_range),
-                                       np.asarray(_parse_floats(args.markers))]))
-        for alpha in alphas:
-            params = EpidemicParams(rho=0.0, gamma=args.gamma, alpha=alpha, t_delay=0.0)
-            for x in xs:
-                # scaled-R0 equivalence: heterogeneity multiplies R0 by h = 1 + cv^2
-                h = DegreeStats.from_mu_cv(1.0, float(x)).h
-                verdict = homogeneous_delay_bound(params, args.r0 * h)
-                rows.append((float(x), alpha, verdict))
+                                       np.asarray(_parse_floats(args.markers))])).tolist()
+        r0s = [_scaled_r0(args.r0, x) for x in xs]
+    rows = []
+    for alpha in alphas:
+        params = EpidemicParams(rho=0.0, gamma=args.gamma, alpha=alpha, t_delay=0.0)
+        for x, r0 in zip(xs, r0s):
+            rows.append((x, alpha, homogeneous_delay_bound(params, r0)))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("x,alpha,T_max_days,verdict\n")
         for x, alpha, verdict in rows:
@@ -160,10 +145,24 @@ def cmd_bound(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    stats, rho = _stats_from_args(args)
-    params = EpidemicParams(rho=0.0, gamma=args.gamma, alpha=args.alpha, t_delay=args.t_delay)
-    beta_h = rho * stats.mu * stats.h
-    verdict = homogeneous_delay_bound(params, beta_h / args.gamma)
+    if args.dist is not None:
+        if args.rho is None:
+            raise ModelError("--dist requires --rho")
+        params = EpidemicParams(rho=args.rho, gamma=args.gamma, alpha=args.alpha,
+                                t_delay=args.t_delay)
+        mode = HeterogeneityMode.FIXED_GRAPH if args.fixed_graph \
+            else HeterogeneityMode.MIXED_POPULATION
+        stats = compute_stats(load_distribution(args.dist), mode)
+        verdict = heterogeneous_delay_bound(params, stats)
+        beta_h = effective_beta(params, stats)
+    elif args.r0 is not None:
+        params = EpidemicParams(rho=0.0, gamma=args.gamma, alpha=args.alpha,
+                                t_delay=args.t_delay)
+        r0_h = _scaled_r0(args.r0, args.cv)
+        verdict = homogeneous_delay_bound(params, r0_h)
+        beta_h = r0_h * args.gamma
+    else:
+        raise ModelError("provide either --dist with --rho, or --r0 (with optional --cv)")
     r0, re = reproduction_numbers(beta_h, params)
     kind = verdict.kind
     if kind is VerdictKind.UNCONDITIONALLY_STABLE:

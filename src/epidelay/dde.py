@@ -23,7 +23,9 @@ infectious trajectories for consistent initial histories, which is the main
 oracle the test suite leans on.
 
 The step size must satisfy dt <= tau/4 so every delayed lookup lands in
-already-completed history. Integration is bit-for-bit reproducible for
+already-completed history; at tau = 0 each stage reads its own state as the
+delayed one. dt and the horizon must be finite, and the time grid may hold
+at most MAX_GRID_VALUES values. Integration is bit-for-bit reproducible for
 identical inputs; the stepper compiles under numba when it is installed
 (see _accel).
 """
@@ -42,6 +44,11 @@ SYS_HOMOGENEOUS = 0
 SYS_REDUCED = 1
 SYS_PARTITIONED_FROZEN = 2
 SYS_PARTITIONED_DYNAMIC = 3
+
+# Largest time grid (nodes x state components) an integration may allocate:
+# far above any grid in use (10,001 nodes x 80 components), while its states
+# and derivatives (two float64 arrays, 320 MB at the limit) still fit in memory.
+MAX_GRID_VALUES = 20_000_000
 
 
 class IntegrationError(RuntimeError):
@@ -207,23 +214,23 @@ def _rhs(system, y, y_del, coeffs, out):
 def _rk4_dde(system, times, states, derivs, dt, tau, coeffs, hist_rate, hist_y0, cap):
     """Method-of-steps RK4 over the preallocated node arrays.
 
-    Returns (status, last_index): status 0 on success, 1 on blow-up past
-    `cap` with last_index the final trusted node.
+    At tau = 0 the delayed state is the stage state itself. Returns
+    (status, last_index): status 0 on success, 1 on blow-up past `cap`
+    with last_index the final trusted node.
     """
     nsteps = times.shape[0] - 1
     dim = states.shape[1]
+    lag = tau > 0.0
     y_del = np.empty(dim)
     y_tmp = np.empty(dim)
     k2 = np.empty(dim)
     k3 = np.empty(dim)
     k4 = np.empty(dim)
+    stage_del = y_del if lag else y_tmp
 
-    if tau > 0.0:
+    if lag:
         _dense_eval(times[0] - tau, times, states, derivs, 0, dt, hist_rate, hist_y0, y_del)
-    else:
-        for j in range(dim):
-            y_del[j] = states[0, j]
-    _rhs(system, states[0], y_del, coeffs, derivs[0])
+    _rhs(system, states[0], y_del if lag else states[0], coeffs, derivs[0])
 
     for m in range(nsteps):
         t = times[m]
@@ -231,31 +238,22 @@ def _rk4_dde(system, times, states, derivs, dt, tau, coeffs, hist_rate, hist_y0,
         half = 0.5 * h
 
         # stages 2 and 3 share the delayed lookup at t + h/2 - tau
-        if tau > 0.0:
+        if lag:
             _dense_eval(t + half - tau, times, states, derivs, m, dt, hist_rate, hist_y0, y_del)
         for j in range(dim):
             y_tmp[j] = states[m, j] + half * derivs[m, j]
-        if tau == 0.0:
-            for j in range(dim):
-                y_del[j] = y_tmp[j]
-        _rhs(system, y_tmp, y_del, coeffs, k2)
+        _rhs(system, y_tmp, stage_del, coeffs, k2)
 
         for j in range(dim):
             y_tmp[j] = states[m, j] + half * k2[j]
-        if tau == 0.0:
-            for j in range(dim):
-                y_del[j] = y_tmp[j]
-        _rhs(system, y_tmp, y_del, coeffs, k3)
+        _rhs(system, y_tmp, stage_del, coeffs, k3)
 
         # stage 4 and the next node derivative share the lookup at t + h - tau
-        if tau > 0.0:
+        if lag:
             _dense_eval(t + h - tau, times, states, derivs, m, dt, hist_rate, hist_y0, y_del)
         for j in range(dim):
             y_tmp[j] = states[m, j] + h * k3[j]
-        if tau == 0.0:
-            for j in range(dim):
-                y_del[j] = y_tmp[j]
-        _rhs(system, y_tmp, y_del, coeffs, k4)
+        _rhs(system, y_tmp, stage_del, coeffs, k4)
 
         bad = False
         for j in range(dim):
@@ -265,10 +263,7 @@ def _rk4_dde(system, times, states, derivs, dt, tau, coeffs, hist_rate, hist_y0,
                 bad = True
         if bad:
             return 1, m
-        if tau == 0.0:
-            for j in range(dim):
-                y_del[j] = states[m + 1, j]
-        _rhs(system, states[m + 1], y_del, coeffs, derivs[m + 1])
+        _rhs(system, states[m + 1], y_del if lag else states[m + 1], coeffs, derivs[m + 1])
     return 0, nsteps
 
 
@@ -276,25 +271,25 @@ def _make_times(t_end: float, dt: float) -> np.ndarray:
     n_full = int(math.floor(t_end / dt + 1e-9))
     remainder = t_end - n_full * dt
     short_tail = remainder > 1e-9 * max(1.0, t_end)
-    n_nodes = n_full + 1 + (1 if short_tail else 0)
-    times = np.empty(n_nodes, dtype=np.float64)
-    for i in range(n_full + 1):
-        times[i] = i * dt
+    times = np.arange(n_full + 1 + (1 if short_tail else 0)) * dt
     if short_tail:
         times[-1] = t_end
     return times
 
 
 def _integrate(system, coeffs, history, components, t_end, dt, tau, cap):
-    if dt <= 0.0:
-        raise ModelError(f"dt must be > 0, got {dt}")
-    if t_end <= 0.0:
-        raise ModelError(f"t_end must be > 0, got {t_end}")
+    if not 0.0 < dt < math.inf:
+        raise ModelError(f"dt must be finite and > 0, got {dt}")
+    if not 0.0 < t_end < math.inf:
+        raise ModelError(f"t_end must be finite and > 0, got {t_end}")
     if tau > 0.0 and dt > tau / 4.0:
         raise ModelError(f"dt={dt} too coarse for delay {tau}; need dt <= t_delay/4")
     y0 = np.asarray(history.y0, dtype=np.float64)
     if y0.shape != (len(components),):
         raise ModelError(f"history dimension {y0.shape} does not match state {len(components)}")
+    if not (t_end / dt + 2.0) * len(y0) <= MAX_GRID_VALUES:
+        raise ModelError(f"time grid t_end/dt = {t_end:g}/{dt:g} with {len(y0)} components "
+                         f"exceeds {MAX_GRID_VALUES} values")
     times = _make_times(t_end, dt)
     states = np.empty((len(times), len(y0)), dtype=np.float64)
     derivs = np.empty_like(states)

@@ -11,7 +11,9 @@ ensembles of 1e5..1e6-node graphs:
                     edge rewired independently with a fixed probability
 
 Generated graphs are undirected and simple; the empirical mean degree must
-land within 2% of the request or generation fails.
+land within 2% of the request or generation fails. Each generator returns
+its raw endpoint pairs; CSR assembly drops self-loops, and its one sort of
+composite keys both drops repeated pairs and lays out the rows.
 
 Barabási–Albert uses the repeated-nodes method (Batagelj & Brandes, Phys.
 Rev. E 71, 036113, 2005): each new node attaches to m distinct nodes drawn
@@ -93,29 +95,20 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _csr_from_edges(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of the distinct edges lo < hi. Row u lists its neighbours above u
-    ascending, then those below u ascending: one sort of the key
-    end*2n + (other < end)*n + other gives that order."""
-    ends = np.concatenate([lo, hi])
-    other = np.concatenate([hi, lo])
-    key = ends * (2 * n) + other
-    key += (other < ends) * n
-    key.sort()
+def _csr_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the simple graph on the int64 endpoint pairs (u, v), given in
+    any orientation; self-loops and repeated pairs are dropped. Row r lists
+    its neighbours above r ascending, then those below r ascending: edge
+    lo < hi has key lo*2n + hi in row lo and hi*2n + n + lo in row hi, and
+    the distinct keys, sorted, give that order."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keep = lo != hi
+    lo, hi = lo[keep], hi[keep]
+    key = sorted_unique(np.concatenate([lo * (2 * n) + hi, hi * (2 * n) + n + lo]))
     indices = np.ascontiguousarray(key % n, dtype=np.int32)
-    counts = np.bincount(ends, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    np.cumsum(np.bincount(key // (2 * n), minlength=n), out=indptr[1:])
     return indptr, indices
-
-
-def _dedupe_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    keep = u != v
-    u, v = u[keep], v[keep]
-    lo = np.minimum(u, v).astype(np.int64)
-    hi = np.maximum(u, v).astype(np.int64)
-    keys = sorted_unique(lo * n + hi)
-    return keys // n, keys % n
 
 
 def _config_poisson(n: int, mu: float, rng: np.random.Generator):
@@ -125,7 +118,7 @@ def _config_poisson(n: int, mu: float, rng: np.random.Generator):
         deg[idx] = rng.poisson(mu)
     stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
     stubs = stubs[rng.permutation(stubs.size)]
-    return _dedupe_edges(n, stubs[0::2], stubs[1::2])
+    return stubs[0::2], stubs[1::2]
 
 
 def _ba_attach(m: int, n: int, uniforms: np.ndarray) -> tuple[np.ndarray, int]:
@@ -217,7 +210,7 @@ def _barabasi_albert(n: int, mu: float, rng: np.random.Generator):
             break
         overdraw *= 2
     edges_u = np.repeat(np.arange(m, n, dtype=np.int64), m)
-    return _dedupe_edges(n, edges_u, table[: n - m].ravel())
+    return edges_u, table[: n - m].ravel()
 
 
 class _EdgeKeys:
@@ -332,7 +325,7 @@ def _watts_strogatz(n: int, mu: float, rewire_p: float, rng: np.random.Generator
     if rewire_p > 0.0:
         decide = rng.random(u.size)
         _ws_rewire(n, u, v, np.flatnonzero(decide < rewire_p), rng)
-    return _dedupe_edges(n, u, v)
+    return u, v
 
 
 def generate_graph(
@@ -352,17 +345,17 @@ def generate_graph(
         raise ModelError(f"unknown graph kind {kind!r}; choose from {GRAPH_KINDS}")
     if node_count < 100:
         raise ModelError(f"node_count must be >= 100, got {node_count}")
-    if mean_degree < 1.0:
-        raise ModelError(f"mean_degree must be >= 1, got {mean_degree}")
+    if not 1.0 <= mean_degree < math.inf:
+        raise ModelError(f"mean_degree must be finite and >= 1, got {mean_degree}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
     if kind == "config-poisson":
-        lo, hi = _config_poisson(node_count, mean_degree, rng)
+        u, v = _config_poisson(node_count, mean_degree, rng)
     elif kind == "barabasi-albert":
-        lo, hi = _barabasi_albert(node_count, mean_degree, rng)
+        u, v = _barabasi_albert(node_count, mean_degree, rng)
     else:
-        lo, hi = _watts_strogatz(node_count, mean_degree, ws_rewire, rng)
-    indptr, indices = _csr_from_edges(node_count, lo, hi)
+        u, v = _watts_strogatz(node_count, mean_degree, ws_rewire, rng)
+    indptr, indices = _csr_from_edges(node_count, u, v)
     degrees = np.diff(indptr).astype(np.int32)
     graph = ContactGraph(
         indptr=indptr,

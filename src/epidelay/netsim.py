@@ -56,13 +56,12 @@ class GraphSpec:
 class EpidemicState:
     """Mutable per-node epidemic state for one run.
 
-    status holds the compartment codes; iso_day/inf_day are -1 when unset,
-    and iso_day = inf_day + round(t_delay) whenever scheduled.
+    status holds the compartment codes; iso_day is -1 when unset, and the
+    day of infection + round(t_delay) whenever scheduled.
     """
 
     status: np.ndarray
     iso_day: np.ndarray
-    inf_day: np.ndarray
     day: int
 
 
@@ -82,7 +81,7 @@ def seed_infections(graph: ContactGraph, count: int, mode: str,
     proportional to degree, without replacement."""
     if mode not in SEEDING_MODES:
         raise ModelError(f"unknown seeding mode {mode!r}; choose from {SEEDING_MODES}")
-    if count > graph.node_count:
+    if not 0 <= count <= graph.node_count:
         raise ModelError(f"cannot seed {count} infections among {graph.node_count} nodes")
     if mode == "uniform":
         return rng.choice(graph.node_count, size=count, replace=False)
@@ -123,15 +122,13 @@ def init_state(graph: ContactGraph, seeds: np.ndarray, params: EpidemicParams,
     n = graph.node_count
     status = np.zeros(n, dtype=np.int8)
     iso_day = np.full(n, -1, dtype=np.int64)
-    inf_day = np.full(n, -1, dtype=np.int64)
     status[seeds] = INFECTIOUS
-    inf_day[seeds] = start_day
     t_days = int(round(params.t_delay))
     picked = rng.random(len(seeds)) < params.alpha
     iso_day[seeds[picked]] = start_day + t_days
     due = (status == INFECTIOUS) & (iso_day == start_day)
     status[due] = ISOLATED
-    return EpidemicState(status=status, iso_day=iso_day, inf_day=inf_day, day=start_day)
+    return EpidemicState(status=status, iso_day=iso_day, day=start_day)
 
 
 def metrics_from_state(graph: ContactGraph, state: EpidemicState) -> DayMetrics:
@@ -179,7 +176,6 @@ def step_day(graph: ContactGraph, state: EpidemicState, params: EpidemicParams,
 
     status[recover] = REMOVED
     status[infect] = INFECTIOUS
-    state.inf_day[infect] = day + 1
     schedule = infect[u_iso[infect] < params.alpha]
     state.iso_day[schedule] = day + 1 + int(round(params.t_delay))
     # isolation falls due only for nodes infectious yesterday or infected today
@@ -247,11 +243,16 @@ class NetworkEnsembleStats:
     def ensemble_mean_inf_degree(self) -> np.ndarray:
         return np.nanmean(self.mean_inf_degree, axis=0)
 
+    def stddev_inf_degree(self) -> np.ndarray:
+        """Across-run sample standard deviation of mean_inf_degree per day;
+        zero for a single run."""
+        if self.run_count < 2:
+            return np.zeros(len(self.days))
+        return np.nanstd(self.mean_inf_degree, axis=0, ddof=1)
+
     def stderr_inf_degree(self) -> np.ndarray:
         valid = np.sum(~np.isnan(self.mean_inf_degree), axis=0)
-        sd = np.nanstd(self.mean_inf_degree, axis=0, ddof=1) if self.run_count > 1 else (
-            np.zeros(len(self.days)))
-        return sd / np.sqrt(np.maximum(valid, 1))
+        return self.stddev_inf_degree() / np.sqrt(np.maximum(valid, 1))
 
 
 def run_ensemble(
@@ -273,6 +274,8 @@ def run_ensemble(
     """
     if runs < 1:
         raise ModelError(f"runs must be >= 1, got {runs}")
+    if base_seed < 0:
+        raise ModelError(f"base_seed must be >= 0, got {base_seed}")
     shared = spec.build(np.random.SeedSequence(base_seed, spawn_key=(0, 0))) if reuse_graph else None
 
     def one_run(run: int) -> RunResult:
@@ -323,8 +326,7 @@ def write_aggregate_csv(stats: NetworkEnsembleStats, path) -> None:
     mean_r = stats.r.mean(axis=0)
     mean_iso = stats.isolated.mean(axis=0)
     mean_deg = stats.ensemble_mean_inf_degree()
-    sd_deg = (np.nanstd(stats.mean_inf_degree, axis=0, ddof=1)
-              if stats.run_count > 1 else np.zeros(len(stats.days)))
+    sd_deg = stats.stddev_inf_degree()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("day,mean_S,mean_I,mean_R,mean_isolated,mean_inf_degree,stddev_inf_degree\n")
         for d in range(len(stats.days)):

@@ -251,8 +251,8 @@ def homogeneous_delay_bound(params: EpidemicParams, r0: float) -> StabilityVerdi
     t_max = (1/gamma) * ln(alpha / (1 - 1/R0)). The rightmost root and
     margin are evaluated at the configuration's own t_delay.
     """
-    if r0 <= 0.0:
-        raise ModelError(f"r0 must be > 0, got {r0}")
+    if not 0.0 < r0 < math.inf:
+        raise ModelError(f"r0 must be finite and > 0, got {r0}")
     return _bound_for_mixing_rate(r0 * params.gamma, params)
 
 

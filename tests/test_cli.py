@@ -54,6 +54,35 @@ class TestClassify:
         assert run_cli("classify", "--alpha", "0.8") == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_matches_bound_row(self, tmp_path, capsys):
+        # both commands scale R0 by h = 1 + cv^2 the same way, to the last bit
+        r0, cv = "5.085024172081335", "0.9127555772777217"
+        gamma, alpha = "0.20165894394179495", "0.9188489682951995"
+        assert run_cli("classify", "--r0", r0, "--cv", cv, "--gamma", gamma,
+                       "--alpha", alpha) == 0
+        fields = parse_machine_line(capsys.readouterr().out.splitlines()[-1])
+        out = tmp_path / "bound.csv"
+        assert run_cli("bound", "--cv-range", "0:1:0.5", "--markers", cv, "--r0", r0,
+                       "--gamma", gamma, "--alpha", alpha, "--out", str(out)) == 0
+        row = [ln.split(",") for ln in out.read_text().splitlines()[1:]
+               if float(ln.split(",")[0]) == float(cv)]
+        assert len(row) == 1
+        assert fields["t_max_days"] == row[0][2] == "0.1430527245321484"
+        assert fields["verdict"] == row[0][3]
+
+    @pytest.mark.parametrize("argv,name", [
+        (["--r0", "nan"], "r0"), (["--r0", "inf"], "r0"), (["--r0", "-1"], "r0"),
+        (["--r0", "3", "--cv", "nan"], "cv"),
+        (["--rho", "nan"], "rho"), (["--rho", "-0.5"], "rho"), (["--rho", "1.5"], "rho"),
+    ])
+    def test_invalid_inputs(self, argv, name, tmp_path, capsys):
+        if "--rho" in argv:
+            dist = tmp_path / "two_point.csv"
+            dist.write_text("k,count\n1,500\n7,500\n", encoding="utf-8")
+            argv = ["--dist", str(dist), *argv]
+        assert run_cli("classify", *argv, "--alpha", "0.8") == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+
     def test_out_file_and_sidecar(self, tmp_path):
         out = tmp_path / "verdict.txt"
         assert run_cli("classify", "--r0", "3", "--alpha", "0.8", "--out", str(out)) == 0
@@ -94,6 +123,12 @@ class TestBound:
     @pytest.mark.parametrize("spec", ["nan:1:0.1", "0:inf:1", "0:1:1e-12"])
     def test_non_finite_or_oversized_range(self, spec, tmp_path, capsys):
         assert run_cli("bound", "--r0-range", spec, "--out", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("r0", ["nan", "inf", "0"])
+    def test_cv_sweep_rejects_bad_r0(self, r0, tmp_path, capsys):
+        assert run_cli("bound", "--cv-range", "0:1:0.5", "--r0", r0,
+                       "--out", str(tmp_path / "x.csv")) == 1
         assert capsys.readouterr().err.startswith("error:")
 
     def test_requires_exactly_one_range(self, tmp_path, capsys):
@@ -170,6 +205,13 @@ class TestDde:
                        "--out", str(tmp_path / "x.csv")) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("grid", [["--dt", "nan"], ["--horizon", "inf"],
+                                      ["--horizon", "1e9"]])
+    def test_non_finite_or_oversized_grid(self, grid, tmp_path, capsys):
+        assert run_cli("dde", "--system", "homogeneous", "--fit-window", "10,20", *grid,
+                       "--out", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_partitioned_requires_dist(self, tmp_path, capsys):
         assert run_cli("dde", "--system", "partitioned",
                        "--out", str(tmp_path / "x.csv")) == 1
@@ -207,3 +249,11 @@ class TestNetsim:
                        "--runs", "1", "--days", "3", "--out", str(out),
                        "--export-graph", str(edges)) == 0
         assert edges.exists() and len(edges.read_text().splitlines()) > 400
+
+    @pytest.mark.parametrize("bad", [["--seed-count", "-1"], ["--seed", "-1"],
+                                     ["--mu", "nan"], ["--mu", "inf"]])
+    @pytest.mark.parametrize("graph", ["config-poisson", "barabasi-albert"])
+    def test_malformed_inputs(self, graph, bad, tmp_path, capsys):
+        assert run_cli("netsim", "--graph", graph, "--nodes", "500", "--runs", "2",
+                       "--days", "3", *bad, "--out", str(tmp_path / "runs.csv")) == 1
+        assert capsys.readouterr().err.startswith("error:")

@@ -124,6 +124,16 @@ class TestHomogeneous:
         with pytest.raises(ModelError):
             integrate_homogeneous(p, 0.3, hist, 1.0, 0.01)
 
+    @pytest.mark.parametrize("t_end,dt", [(1.0, float("nan")), (1.0, float("inf")),
+                                          (float("nan"), 0.01), (float("inf"), 0.01),
+                                          (1e7, 0.01), (1e300, 1e-300)])
+    def test_non_finite_or_oversized_grid(self, t_end, dt):
+        # rejected before anything is allocated
+        p = EpidemicParams(rho=0.0, gamma=0.1, alpha=0.5, t_delay=0.0)
+        hist = constant_history([0.9, 0.1, 0.0])
+        with pytest.raises(ModelError):
+            integrate_homogeneous(p, 0.3, hist, t_end, dt)
+
     def test_bit_reproducible(self):
         p = EpidemicParams(rho=0.0, gamma=0.1, alpha=0.7, t_delay=0.8)
         hist = constant_history([1.0 - 1e-4, 1e-4, 0.0])

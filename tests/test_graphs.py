@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from epidelay.graphs import (ContactGraph, _ba_attach, _dedupe_edges, _ws_rewire, generate_graph,
-                             sorted_unique)
+from epidelay.graphs import (ContactGraph, _ba_attach, _csr_from_edges, _ws_rewire,
+                             generate_graph, sorted_unique)
 from epidelay.params import ModelError
 
 
@@ -99,6 +99,12 @@ class TestValidation:
     def test_low_mean_degree(self):
         with pytest.raises(ModelError):
             generate_graph("config-poisson", 1000, 0.5, 0)
+
+    @pytest.mark.parametrize("kind", ["config-poisson", "barabasi-albert"])
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+    def test_non_finite_mean_degree(self, kind, mu):
+        with pytest.raises(ModelError):
+            generate_graph(kind, 1000, mu, 0)
 
     def test_degree_distribution_export(self):
         g = generate_graph("config-poisson", 5000, 4.0, 6)
@@ -302,14 +308,18 @@ class TestGeneratorOracle:
 
 
 def test_dedupe_matches_unique():
+    # raw pairs with self-loops and repeats give the CSR of their distinct edges
     rng = np.random.default_rng(11)
     n = 500
     for size in (0, 1, 2, 50, 20_000):
         u = rng.integers(0, n, size)
         v = np.where(rng.random(size) < 0.1, u, rng.integers(0, n, size))
-        lo, hi = _dedupe_edges(n, u, v)
-        ref_lo, ref_hi = _ref_dedupe(n, u, v)
-        assert lo.dtype == ref_lo.dtype and hi.dtype == ref_hi.dtype
-        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+        # repeat some pairs, in both orientations
+        again = rng.integers(0, max(size, 1), size // 5)
+        u, v = np.concatenate([u, v[again], u[again]]), np.concatenate([v, u[again], v[again]])
+        got = _csr_from_edges(n, u, v)
+        want = _ref_csr(n, *_ref_dedupe(n, u, v))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
     keys = rng.integers(0, 40, 1000)
     assert np.array_equal(sorted_unique(keys), np.unique(keys))

@@ -102,15 +102,26 @@ class TestStepSemantics:
         state = init_state(g, seeds, p, rng)
         assert np.all(state.iso_day[seeds] == 4)
         assert np.sum(state.status == ISOLATED) == 0
-        m1 = step_day(g, state, p, rng)  # day 2
-        m2 = step_day(g, state, p, rng)  # day 3
+        # infection day of each node, read off its move out of susceptible
+        inf_day = np.full(2000, -1)
+        inf_day[seeds] = 1
+
+        def step():
+            before = state.status == SUSCEPTIBLE
+            m = step_day(g, state, p, rng)
+            inf_day[before & (state.status != SUSCEPTIBLE)] = state.day
+            return m
+
+        m1 = step()  # day 2
+        m2 = step()  # day 3
         assert m1.isolated == 0 and m2.isolated == 0
-        m3 = step_day(g, state, p, rng)  # day 4: survivors of the seed cohort move
+        m3 = step()  # day 4: survivors of the seed cohort move
         survivors = np.isin(np.arange(2000), seeds) & (state.status == ISOLATED)
         assert m3.isolated == survivors.sum() > 0
         # every scheduled node respects iso = inf + delay
         scheduled = state.iso_day >= 0
-        assert np.all(state.iso_day[scheduled] == state.inf_day[scheduled] + 3)
+        assert np.count_nonzero(scheduled) > 10
+        assert np.all(state.iso_day[scheduled] == inf_day[scheduled] + 3)
 
     def test_conservation_and_monotone_compartments(self):
         g = generate_graph("config-poisson", 5000, 4.0, 10)
@@ -156,7 +167,6 @@ def dense_step_day(graph, state, params, rng):
     infect = (status == SUSCEPTIBLE) & (counts > 0) & (u_inf < p_table[counts])
     status[recover] = REMOVED
     status[infect] = INFECTIOUS
-    state.inf_day[infect] = day + 1
     schedule = infect & (u_iso < params.alpha)
     state.iso_day[schedule] = day + 1 + int(round(params.t_delay))
     due = (status == INFECTIOUS) & (state.iso_day == day + 1)
@@ -182,7 +192,7 @@ def assert_matches_dense(graph, params, seeds, days=30):
         assert (m.day, m.s, m.i, m.r, m.isolated) == (ref.day, s, i, r, iso)
         assert (np.float64(m.mean_inf_degree).view(np.int64)
                 == np.float64(mean_deg).view(np.int64))
-        for name in ("status", "iso_day", "inf_day"):
+        for name in ("status", "iso_day"):
             assert np.array_equal(getattr(state, name), getattr(ref, name)), name
         infectious.append(i)
     return infectious

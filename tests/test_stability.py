@@ -60,6 +60,9 @@ class TestHomogeneousBound:
             homogeneous_delay_bound(params(), 0.0)
         with pytest.raises(ModelError):
             homogeneous_delay_bound(params(), -2.0)
+        for r0 in (math.nan, math.inf):
+            with pytest.raises(ModelError):
+                homogeneous_delay_bound(params(), r0)
 
     def test_margin_sign_tracks_delay(self):
         v = homogeneous_delay_bound(params(alpha=0.8, t_delay=1.0), 3.0)
