@@ -1,27 +1,7 @@
-"""Optional numba compilation.
+"""Acceleration path of this build.
 
-The DDE stepper is written as plain loops over numpy arrays. When numba is
-installed (the ``accel`` extra) it is compiled with ``numba.njit``; otherwise
-it runs as ordinary Python. There is one implementation, so results do not
-depend on which way it runs. The graph generators and the network day sweep
-are numpy only.
+Every layer runs on numpy and plain Python; nothing is compiled. The
+benchmark's env line imports USE_NUMBA, so the name stays, always False.
 """
 
-try:
-    from numba import njit as _njit
-
-    USE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _njit = None
-    USE_NUMBA = False
-
-
-def maybe_njit(**options):
-    """Decorator: ``njit(**options)`` when numba is installed, no-op otherwise."""
-
-    def wrap(func):
-        if USE_NUMBA:
-            return _njit(**options)(func)
-        return func
-
-    return wrap
+USE_NUMBA = False

@@ -22,7 +22,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._accel import USE_NUMBA
 from .dde import (
     IntegrationError,
     consistent_reduced_history,
@@ -98,7 +97,7 @@ def _parse_window(spec: str) -> tuple[float, float]:
 
 
 def _write_sidecar(out_path: str, args: argparse.Namespace, extra: dict | None = None) -> None:
-    entries = {"artifact_version": __version__, "accel": "numba" if USE_NUMBA else "numpy"}
+    entries = {"artifact_version": __version__, "accel": "numpy"}
     for key, val in sorted(vars(args).items()):
         if key == "func" or val is None:
             continue
@@ -156,6 +155,11 @@ def cmd_classify(args) -> int:
         verdict = heterogeneous_delay_bound(params, stats)
         beta_h = effective_beta(params, stats)
     elif args.r0 is not None:
+        if args.fixed_graph:
+            # the fixed-graph h = (mu + sigma^2/mu - 1)/mu needs the mean
+            # degree, which R0 and cv do not give
+            raise ModelError("--fixed-graph must be given with --dist; --r0/--cv carry no "
+                             "mean degree")
         params = EpidemicParams(rho=0.0, gamma=args.gamma, alpha=args.alpha,
                                 t_delay=args.t_delay)
         r0_h = _scaled_r0(args.r0, args.cv)

@@ -1,6 +1,6 @@
 """Fixed-step method-of-steps integrator for the delayed isolation models.
 
-Three systems share one classic RK4 stepper with cubic Hermite dense output
+Three systems share one classic RK4 scheme with cubic Hermite dense output
 for the delayed-term lookups:
 
   homogeneous   state (S, I, R):
@@ -25,9 +25,17 @@ oracle the test suite leans on.
 The step size must satisfy dt <= tau/4 so every delayed lookup lands in
 already-completed history; at tau = 0 each stage reads its own state as the
 delayed one. dt and the horizon must be finite, and the time grid may hold
-at most MAX_GRID_VALUES values. Integration is bit-for-bit reproducible for
-identical inputs; the stepper compiles under numba when it is installed
-(see _accel).
+at most MAX_GRID_VALUES values.
+
+The scheme runs in one of two kernels, chosen by the system. The
+partitioned systems step whole state vectors as numpy expressions
+(_rk4_arrays), so the Python cost of a step does not grow with the number
+of degrees. The homogeneous and reduced systems have two or three
+components, for which a numpy call costs more than its arithmetic, so they
+step lists of Python floats (_rk4_floats). Both evaluate every component in
+the same IEEE operation order, and one routine (_hermite) gives the dense
+output weights to both and to Trajectory.sample. Integration is
+bit-for-bit reproducible for identical inputs.
 """
 
 from __future__ import annotations
@@ -37,13 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import maybe_njit
 from .params import DegreeDistribution, EpidemicParams, ModelError, effective_beta
-
-SYS_HOMOGENEOUS = 0
-SYS_REDUCED = 1
-SYS_PARTITIONED_FROZEN = 2
-SYS_PARTITIONED_DYNAMIC = 3
 
 # Largest time grid (nodes x state components) an integration may allocate:
 # far above any grid in use (10,001 nodes x 80 components), while its states
@@ -70,6 +72,7 @@ class History:
         y0 = np.asarray(self.y0, dtype=np.float64).copy()
         y0.setflags(write=False)
         object.__setattr__(self, "y0", y0)
+        object.__setattr__(self, "rate", float(self.rate))
 
     def __call__(self, theta: float) -> np.ndarray:
         return self.y0 * math.exp(self.rate * theta)
@@ -105,10 +108,8 @@ class Trajectory:
         supplied history function."""
         if t > self.times[-1]:
             raise ModelError(f"t={t} beyond integrated horizon {self.times[-1]}")
-        out = np.empty(self.states.shape[1])
-        _dense_eval(float(t), self.times, self.states, self.derivs, len(self.times) - 1,
-                    self.times[1] - self.times[0], self.history.rate, self.history.y0, out)
-        return out
+        return _dense(float(t), self.times, self.states, self.derivs, len(self.times) - 1,
+                      self.times[1] - self.times[0], self.history)
 
     def to_csv(self, path) -> None:
         """Write `t,<components>` rows at full double precision."""
@@ -129,142 +130,139 @@ class GrowthFit:
     window: tuple[float, float]
 
 
-@maybe_njit(cache=True)
-def _dense_eval(t_query, times, states, derivs, filled, dt, hist_rate, hist_y0, out):
-    """Interpolated state at t_query, reading the initial history for
-    t_query <= times[0] and cubic Hermite data otherwise. Only the first
-    `filled` steps are trusted."""
+def _hermite(t, times, filled, dt):
+    """Cubic Hermite weights at t > times[0], over the first `filled` steps.
+
+    Returns (i, h00, h10*h, h01, h11*h): the state at t is
+    h00*y[i] + (h10*h)*y'[i] + h01*y[i+1] + (h11*h)*y'[i+1], summed in that
+    order. Both kernels and Trajectory.sample combine the weights this way.
+    """
     t0 = times[0]
-    if t_query <= t0:
-        factor = math.exp(hist_rate * (t_query - t0))
-        for j in range(out.shape[0]):
-            out[j] = hist_y0[j] * factor
-        return
-    i = int((t_query - t0) / dt)
+    i = int((t - t0) / dt)
     if i > filled - 1:
         i = filled - 1
     if i < 0:
         i = 0
-    while i > 0 and times[i] > t_query:
+    while i > 0 and times[i] > t:
         i -= 1
-    while i < filled - 1 and times[i + 1] < t_query:
+    while i < filled - 1 and times[i + 1] < t:
         i += 1
     h = times[i + 1] - times[i]
-    th = (t_query - times[i]) / h
+    th = (t - times[i]) / h
     h00 = (1.0 + 2.0 * th) * (1.0 - th) * (1.0 - th)
     h10 = th * (1.0 - th) * (1.0 - th)
     h01 = th * th * (3.0 - 2.0 * th)
     h11 = th * th * (th - 1.0)
-    for j in range(out.shape[0]):
-        out[j] = (
-            h00 * states[i, j]
-            + h10 * h * derivs[i, j]
-            + h01 * states[i + 1, j]
-            + h11 * h * derivs[i + 1, j]
-        )
+    return i, h00, h10 * h, h01, h11 * h
 
 
-@maybe_njit(cache=True)
-def _rhs(system, y, y_del, coeffs, out):
-    """Right-hand side of the selected system; y_del is the state at t - tau.
+def _dense(t, times, states, derivs, filled, dt, history):
+    """State at t as a new array: the history for t <= times[0], else the
+    Hermite interpolant over the first `filled` steps."""
+    t0 = times[0]
+    if t <= t0:
+        return history(t - t0)
+    i, w00, w10, w01, w11 = _hermite(t, times, filled, dt)
+    return w00 * states[i] + w10 * derivs[i] + w01 * states[i + 1] + w11 * derivs[i + 1]
 
-    coeffs layouts:
-      homogeneous:          [beta, gamma, iso]            iso = alpha*e^{-gamma*tau}
-      reduced:              [mu, beta_h, gamma, iso]
-      partitioned frozen:   [gamma, scale] + iso_k(n) + N_k(n)   scale = rho/sum(k*N_k)
-      partitioned dynamic:  [gamma, scale] + iso_k(n)            state is (X_1..X_n, Y_1..Y_n)
+
+def _rk4_arrays(rhs, times, states, derivs, dt, tau, history, cap):
+    """Method-of-steps RK4 with each stage one whole-vector expression,
+    written into the preallocated node arrays as it goes.
+
+    rhs(y, y_del) returns the derivative as a new array; at tau = 0 it is
+    given the stage state itself as the delayed state. Returns the number of
+    steps completed: fewer than len(times) - 1 when the state passed `cap`
+    or stopped being finite, the failed step's start being the last trusted
+    node.
     """
-    if system == SYS_HOMOGENEOUS:
-        beta, gamma, iso = coeffs[0], coeffs[1], coeffs[2]
-        q = iso * y_del[1]
-        flow = beta * y[0] * (y[1] - q)
-        out[0] = -flow
-        out[1] = flow - gamma * y[1]
-        out[2] = gamma * y[1]
-    elif system == SYS_REDUCED:
-        mu, beta_h, gamma, iso = coeffs[0], coeffs[1], coeffs[2], coeffs[3]
-        xi = y[1] - iso * y_del[1]
-        out[0] = mu * xi - gamma * y[0]
-        out[1] = beta_h * xi - gamma * y[1]
-    elif system == SYS_PARTITIONED_FROZEN:
-        n = y.shape[0]
-        gamma, scale = coeffs[0], coeffs[1]
-        xi_sum = 0.0
-        for i in range(n):
-            k = float(i + 1)
-            xi_sum += k * (y[i] - coeffs[2 + i] * y_del[i])
-        xi = scale * xi_sum
-        for i in range(n):
-            out[i] = float(i + 1) * coeffs[2 + n + i] * xi - gamma * y[i]
-    else:
-        n = y.shape[0] // 2
-        gamma, scale = coeffs[0], coeffs[1]
-        xi_sum = 0.0
-        for i in range(n):
-            k = float(i + 1)
-            xi_sum += k * (y[n + i] - coeffs[2 + i] * y_del[n + i])
-        xi = scale * xi_sum
-        for i in range(n):
-            k = float(i + 1)
-            out[i] = -k * y[i] * xi
-            out[n + i] = k * y[i] * xi - gamma * y[n + i]
-
-
-@maybe_njit(cache=True)
-def _rk4_dde(system, times, states, derivs, dt, tau, coeffs, hist_rate, hist_y0, cap):
-    """Method-of-steps RK4 over the preallocated node arrays.
-
-    At tau = 0 the delayed state is the stage state itself. Returns
-    (status, last_index): status 0 on success, 1 on blow-up past `cap`
-    with last_index the final trusted node.
-    """
-    nsteps = times.shape[0] - 1
-    dim = states.shape[1]
+    tl = times.tolist()
     lag = tau > 0.0
-    y_del = np.empty(dim)
-    y_tmp = np.empty(dim)
-    k2 = np.empty(dim)
-    k3 = np.empty(dim)
-    k4 = np.empty(dim)
-    stage_del = y_del if lag else y_tmp
-
-    if lag:
-        _dense_eval(times[0] - tau, times, states, derivs, 0, dt, hist_rate, hist_y0, y_del)
-    _rhs(system, states[0], y_del if lag else states[0], coeffs, derivs[0])
-
-    for m in range(nsteps):
-        t = times[m]
-        h = times[m + 1] - times[m]
+    y_del = _dense(tl[0] - tau, tl, states, derivs, 0, dt, history) if lag else states[0]
+    derivs[0] = rhs(states[0], y_del)
+    for m in range(len(tl) - 1):
+        t = tl[m]
+        h = tl[m + 1] - t
         half = 0.5 * h
+        y, d = states[m], derivs[m]
 
         # stages 2 and 3 share the delayed lookup at t + h/2 - tau
         if lag:
-            _dense_eval(t + half - tau, times, states, derivs, m, dt, hist_rate, hist_y0, y_del)
-        for j in range(dim):
-            y_tmp[j] = states[m, j] + half * derivs[m, j]
-        _rhs(system, y_tmp, stage_del, coeffs, k2)
-
-        for j in range(dim):
-            y_tmp[j] = states[m, j] + half * k2[j]
-        _rhs(system, y_tmp, stage_del, coeffs, k3)
+            y_del = _dense(t + half - tau, tl, states, derivs, m, dt, history)
+        y_tmp = y + half * d
+        k2 = rhs(y_tmp, y_del if lag else y_tmp)
+        y_tmp = y + half * k2
+        k3 = rhs(y_tmp, y_del if lag else y_tmp)
 
         # stage 4 and the next node derivative share the lookup at t + h - tau
         if lag:
-            _dense_eval(t + h - tau, times, states, derivs, m, dt, hist_rate, hist_y0, y_del)
-        for j in range(dim):
-            y_tmp[j] = states[m, j] + h * k3[j]
-        _rhs(system, y_tmp, stage_del, coeffs, k4)
+            y_del = _dense(t + h - tau, tl, states, derivs, m, dt, history)
+        y_tmp = y + h * k3
+        k4 = rhs(y_tmp, y_del if lag else y_tmp)
 
-        bad = False
-        for j in range(dim):
-            val = states[m, j] + (h / 6.0) * (derivs[m, j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-            states[m + 1, j] = val
-            if not math.isfinite(val) or abs(val) > cap:
-                bad = True
-        if bad:
-            return 1, m
-        _rhs(system, states[m + 1], y_del if lag else states[m + 1], coeffs, derivs[m + 1])
-    return 0, nsteps
+        y_new = y + (h / 6.0) * (d + 2.0 * k2 + 2.0 * k3 + k4)
+        peak = float(np.abs(y_new).max())
+        if not math.isfinite(peak) or peak > cap:
+            return m
+        states[m + 1] = y_new
+        derivs[m + 1] = rhs(y_new, y_del if lag else y_new)
+    return len(tl) - 1
+
+
+def _rk4_floats(rhs, times, states, derivs, dt, tau, history, cap):
+    """The same method-of-steps RK4 on lists of Python floats, one list per
+    node, copied into `states` and `derivs` at the end.
+
+    For the two- and three-component systems a numpy call costs more than
+    the arithmetic it would do, so this kernel evaluates every expression of
+    _rk4_arrays component by component in the same order, giving the same
+    bits. rhs(y, y_del) takes and returns sequences of floats. Returns the
+    number of steps completed, as _rk4_arrays does.
+    """
+    tl = times.tolist()
+    t0 = tl[0]
+    ys = [states[0].tolist()]
+    ds = []
+
+    def dense(t, filled):
+        if t <= t0:
+            return history(t - t0).tolist()
+        i, w00, w10, w01, w11 = _hermite(t, tl, filled, dt)
+        return [w00 * a + w10 * b + w01 * c + w11 * e
+                for a, b, c, e in zip(ys[i], ds[i], ys[i + 1], ds[i + 1])]
+
+    lag = tau > 0.0
+    y_del = dense(t0 - tau, 0) if lag else ys[0]
+    ds.append(rhs(ys[0], y_del))
+    for m in range(len(tl) - 1):
+        t = tl[m]
+        h = tl[m + 1] - t
+        half = 0.5 * h
+        y, d = ys[m], ds[m]
+
+        if lag:
+            y_del = dense(t + half - tau, m)
+        y_tmp = [a + half * b for a, b in zip(y, d)]
+        k2 = rhs(y_tmp, y_del if lag else y_tmp)
+        y_tmp = [a + half * b for a, b in zip(y, k2)]
+        k3 = rhs(y_tmp, y_del if lag else y_tmp)
+
+        if lag:
+            y_del = dense(t + h - tau, m)
+        y_tmp = [a + h * b for a, b in zip(y, k3)]
+        k4 = rhs(y_tmp, y_del if lag else y_tmp)
+
+        h6 = h / 6.0
+        y_new = [a + h6 * (b + 2.0 * c + 2.0 * e + f)
+                 for a, b, c, e, f in zip(y, d, k2, k3, k4)]
+        for v in y_new:
+            if not math.isfinite(v) or abs(v) > cap:
+                return m
+        ys.append(y_new)
+        ds.append(rhs(y_new, y_del if lag else y_new))
+    states[:] = ys
+    derivs[:] = ds
+    return len(tl) - 1
 
 
 def _make_times(t_end: float, dt: float) -> np.ndarray:
@@ -277,7 +275,7 @@ def _make_times(t_end: float, dt: float) -> np.ndarray:
     return times
 
 
-def _integrate(system, coeffs, history, components, t_end, dt, tau, cap):
+def _integrate(kernel, rhs, history, components, t_end, dt, tau, cap):
     if not 0.0 < dt < math.inf:
         raise ModelError(f"dt must be finite and > 0, got {dt}")
     if not 0.0 < t_end < math.inf:
@@ -294,12 +292,8 @@ def _integrate(system, coeffs, history, components, t_end, dt, tau, cap):
     states = np.empty((len(times), len(y0)), dtype=np.float64)
     derivs = np.empty_like(states)
     states[0] = y0
-    status, last = _rk4_dde(
-        system, times, states, derivs, dt, tau,
-        np.asarray(coeffs, dtype=np.float64),
-        float(history.rate), y0, cap,
-    )
-    if status != 0:
+    last = kernel(rhs, times, states, derivs, dt, tau, history, cap)
+    if last < len(times) - 1:
         raise IntegrationError(
             f"state magnitude exceeded cap {cap:g} after t={times[last]:.6g}",
             t_last=float(times[last]),
@@ -323,11 +317,15 @@ def integrate_homogeneous(
     model of a heterogeneous population.
     """
     tau = params.t_delay
-    iso = params.alpha * math.exp(-params.gamma * tau)
-    return _integrate(
-        SYS_HOMOGENEOUS, [beta, params.gamma, iso], history,
-        ("s", "i", "r"), t_end, dt, tau, cap,
-    )
+    beta, gamma = float(beta), params.gamma
+    iso = params.alpha * math.exp(-gamma * tau)
+
+    def rhs(y, y_del):
+        s, i, _ = y
+        flow = beta * s * (i - iso * y_del[1])
+        return [-flow, flow - gamma * i, gamma * i]
+
+    return _integrate(_rk4_floats, rhs, history, ("s", "i", "r"), t_end, dt, tau, cap)
 
 
 def integrate_reduced(
@@ -341,12 +339,15 @@ def integrate_reduced(
     """Integrate the two-dimensional (I, lambda) population-level system,
     with beta_h = effective_beta(params, stats)."""
     tau = params.t_delay
-    beta_h = effective_beta(params, stats)
-    iso = params.alpha * math.exp(-params.gamma * tau)
-    return _integrate(
-        SYS_REDUCED, [stats.mu, beta_h, params.gamma, iso], history,
-        ("i", "lambda"), t_end, dt, tau, cap,
-    )
+    mu, beta_h, gamma = float(stats.mu), effective_beta(params, stats), params.gamma
+    iso = params.alpha * math.exp(-gamma * tau)
+
+    def rhs(y, y_del):
+        i, lam = y
+        xi = lam - iso * y_del[1]
+        return [mu * xi - gamma * i, beta_h * xi - gamma * lam]
+
+    return _integrate(_rk4_floats, rhs, history, ("i", "lambda"), t_end, dt, tau, cap)
 
 
 def partition_sizes(dist: DegreeDistribution) -> np.ndarray:
@@ -382,7 +383,8 @@ def integrate_partitioned(
         raise ModelError("partitioned system needs a positive maximum degree")
     tau = params.t_delay
     n_k = partition_sizes(dist)
-    sum_k_n = float(np.sum(np.arange(1, n + 1, dtype=np.float64) * n_k))
+    ks = np.arange(1, n + 1, dtype=np.float64)
+    sum_k_n = float(np.sum(ks * n_k))
     if alpha_by_degree is None:
         alphas = np.full(n, params.alpha, dtype=np.float64)
     else:
@@ -391,19 +393,33 @@ def integrate_partitioned(
             raise ModelError(f"alpha_by_degree must have one entry per degree 1..{n}")
         if np.any((alphas < 0.0) | (alphas > 1.0)):
             raise ModelError("alpha_by_degree entries must lie in [0, 1]")
-    iso = alphas * math.exp(-params.gamma * tau)
+    gamma = params.gamma
+    iso = alphas * math.exp(-gamma * tau)
     scale = params.rho / sum_k_n
+
+    def force(y, y_del):
+        # xi = scale * sum_k k*(Y_k - iso_k*Y_k(t - tau)), summed in degree
+        # order as a loop would; np.sum and np.dot use other orders. The 0.0
+        # start gives an all-negative-zero sum the loop's sign.
+        return scale * (0.0 + np.add.accumulate(ks * (y - iso * y_del))[-1])
+
     if dynamic_susceptibles:
-        coeffs = np.concatenate(([params.gamma, scale], iso))
+        def rhs(y, y_del):
+            x, y_inf = y[:n], y[n:]
+            flow = ks * x * force(y_inf, y_del[n:])
+            return np.concatenate((-flow, flow - gamma * y_inf))
+
         components = tuple(f"x{k}" for k in range(1, n + 1)) + tuple(
             f"y{k}" for k in range(1, n + 1)
         )
-        system = SYS_PARTITIONED_DYNAMIC
     else:
-        coeffs = np.concatenate(([params.gamma, scale], iso, n_k))
+        k_n = ks * n_k
+
+        def rhs(y, y_del):
+            return k_n * force(y, y_del) - gamma * y
+
         components = tuple(f"y{k}" for k in range(1, n + 1))
-        system = SYS_PARTITIONED_FROZEN
-    return _integrate(system, coeffs, history, components, t_end, dt, tau, cap)
+    return _integrate(_rk4_arrays, rhs, history, components, t_end, dt, tau, cap)
 
 
 def infectious_fraction(traj: Trajectory, dist: DegreeDistribution) -> np.ndarray:

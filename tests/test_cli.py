@@ -74,6 +74,7 @@ class TestClassify:
         (["--r0", "nan"], "r0"), (["--r0", "inf"], "r0"), (["--r0", "-1"], "r0"),
         (["--r0", "3", "--cv", "nan"], "cv"),
         (["--rho", "nan"], "rho"), (["--rho", "-0.5"], "rho"), (["--rho", "1.5"], "rho"),
+        (["--r0", "3", "--cv", "0.5", "--fixed-graph"], "--fixed-graph"),
     ])
     def test_invalid_inputs(self, argv, name, tmp_path, capsys):
         if "--rho" in argv:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from epidelay.dde import (
     IntegrationError,
     Trajectory,
+    _make_times,
     constant_history,
     consistent_reduced_history,
     default_fit_window,
@@ -14,6 +17,7 @@ from epidelay.dde import (
     integrate_homogeneous,
     integrate_partitioned,
     integrate_reduced,
+    partition_sizes,
 )
 from epidelay.params import (
     DegreeDistribution,
@@ -141,6 +145,224 @@ class TestHomogeneous:
         b = integrate_homogeneous(p, 0.3, hist, 20.0, 0.01)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.times, b.times)
+
+
+# Reference stepper: the scalar loops the kernels replaced, one component at a
+# time, with the systems selected by code and their coefficients packed into
+# one array. The kernels must reproduce it bit for bit.
+SYS_HOMOGENEOUS, SYS_REDUCED, SYS_PARTITIONED_FROZEN, SYS_PARTITIONED_DYNAMIC = range(4)
+
+
+def ref_dense_eval(t_query, times, states, derivs, filled, dt, hist_rate, hist_y0, out):
+    t0 = times[0]
+    if t_query <= t0:
+        factor = math.exp(hist_rate * (t_query - t0))
+        for j in range(out.shape[0]):
+            out[j] = hist_y0[j] * factor
+        return
+    i = int((t_query - t0) / dt)
+    if i > filled - 1:
+        i = filled - 1
+    if i < 0:
+        i = 0
+    while i > 0 and times[i] > t_query:
+        i -= 1
+    while i < filled - 1 and times[i + 1] < t_query:
+        i += 1
+    h = times[i + 1] - times[i]
+    th = (t_query - times[i]) / h
+    h00 = (1.0 + 2.0 * th) * (1.0 - th) * (1.0 - th)
+    h10 = th * (1.0 - th) * (1.0 - th)
+    h01 = th * th * (3.0 - 2.0 * th)
+    h11 = th * th * (th - 1.0)
+    for j in range(out.shape[0]):
+        out[j] = (
+            h00 * states[i, j]
+            + h10 * h * derivs[i, j]
+            + h01 * states[i + 1, j]
+            + h11 * h * derivs[i + 1, j]
+        )
+
+
+def ref_rhs(system, y, y_del, coeffs, out):
+    if system == SYS_HOMOGENEOUS:
+        beta, gamma, iso = coeffs[0], coeffs[1], coeffs[2]
+        q = iso * y_del[1]
+        flow = beta * y[0] * (y[1] - q)
+        out[0] = -flow
+        out[1] = flow - gamma * y[1]
+        out[2] = gamma * y[1]
+    elif system == SYS_REDUCED:
+        mu, beta_h, gamma, iso = coeffs[0], coeffs[1], coeffs[2], coeffs[3]
+        xi = y[1] - iso * y_del[1]
+        out[0] = mu * xi - gamma * y[0]
+        out[1] = beta_h * xi - gamma * y[1]
+    elif system == SYS_PARTITIONED_FROZEN:
+        n = y.shape[0]
+        gamma, scale = coeffs[0], coeffs[1]
+        xi_sum = 0.0
+        for i in range(n):
+            k = float(i + 1)
+            xi_sum += k * (y[i] - coeffs[2 + i] * y_del[i])
+        xi = scale * xi_sum
+        for i in range(n):
+            out[i] = float(i + 1) * coeffs[2 + n + i] * xi - gamma * y[i]
+    else:
+        n = y.shape[0] // 2
+        gamma, scale = coeffs[0], coeffs[1]
+        xi_sum = 0.0
+        for i in range(n):
+            k = float(i + 1)
+            xi_sum += k * (y[n + i] - coeffs[2 + i] * y_del[n + i])
+        xi = scale * xi_sum
+        for i in range(n):
+            k = float(i + 1)
+            out[i] = -k * y[i] * xi
+            out[n + i] = k * y[i] * xi - gamma * y[n + i]
+
+
+def ref_rk4_dde(system, times, states, derivs, dt, tau, coeffs, hist_rate, hist_y0, cap):
+    nsteps = times.shape[0] - 1
+    dim = states.shape[1]
+    lag = tau > 0.0
+    y_del = np.empty(dim)
+    y_tmp = np.empty(dim)
+    k2 = np.empty(dim)
+    k3 = np.empty(dim)
+    k4 = np.empty(dim)
+    stage_del = y_del if lag else y_tmp
+    if lag:
+        ref_dense_eval(times[0] - tau, times, states, derivs, 0, dt, hist_rate, hist_y0, y_del)
+    ref_rhs(system, states[0], y_del if lag else states[0], coeffs, derivs[0])
+    for m in range(nsteps):
+        t = times[m]
+        h = times[m + 1] - times[m]
+        half = 0.5 * h
+        if lag:
+            ref_dense_eval(t + half - tau, times, states, derivs, m, dt, hist_rate, hist_y0,
+                           y_del)
+        for j in range(dim):
+            y_tmp[j] = states[m, j] + half * derivs[m, j]
+        ref_rhs(system, y_tmp, stage_del, coeffs, k2)
+        for j in range(dim):
+            y_tmp[j] = states[m, j] + half * k2[j]
+        ref_rhs(system, y_tmp, stage_del, coeffs, k3)
+        if lag:
+            ref_dense_eval(t + h - tau, times, states, derivs, m, dt, hist_rate, hist_y0, y_del)
+        for j in range(dim):
+            y_tmp[j] = states[m, j] + h * k3[j]
+        ref_rhs(system, y_tmp, stage_del, coeffs, k4)
+        bad = False
+        for j in range(dim):
+            val = states[m, j] + (h / 6.0) * (derivs[m, j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
+            states[m + 1, j] = val
+            if not math.isfinite(val) or abs(val) > cap:
+                bad = True
+        if bad:
+            return 1, m
+        ref_rhs(system, states[m + 1], y_del if lag else states[m + 1], coeffs, derivs[m + 1])
+    return 0, nsteps
+
+
+ORACLE_DIST = DegreeDistribution({1: 300, 2: 250, 3: 200, 4: 150, 6: 100, 9: 60, 12: 30, 17: 10})
+
+
+def oracle_case(system, tau, rate, rho=0.05, cap=1e12, t_end=30.003, dt=0.05):
+    """(run, reference) for one configuration: run() integrates it with the
+    package, and the reference is (status, last, times, states, derivs)
+    from the loop stepper, plus its sampler."""
+    dist = ORACLE_DIST
+    n = dist.max_degree
+    n_k = partition_sizes(dist)
+    y0 = 1e-3 * n_k
+    p = EpidemicParams(rho=rho, gamma=0.1, alpha=0.7, t_delay=tau)
+    iso = p.alpha * math.exp(-p.gamma * tau)
+    scale = p.rho / float(np.sum(np.arange(1, n + 1) * n_k))
+    alphas = p.alpha * np.arange(1, n + 1) / n
+    if system == "homogeneous":
+        hist = exponential_history([1.0 - 1e-4, 1e-4, 0.0], rate)
+        code, coeffs = SYS_HOMOGENEOUS, [0.3, p.gamma, iso]
+
+        def run():
+            return integrate_homogeneous(p, 0.3, hist, t_end, dt, cap=cap)
+    elif system == "reduced":
+        stats = DegreeStats.from_mu_cv(4.0, 0.5)
+        beta_h = effective_beta(p, stats)
+        hist = exponential_history([1e-5, beta_h * 1e-5], rate)
+        code, coeffs = SYS_REDUCED, [stats.mu, beta_h, p.gamma, iso]
+
+        def run():
+            return integrate_reduced(p, stats, hist, t_end, dt, cap=cap)
+    elif system == "dynamic":
+        hist = exponential_history(np.concatenate((n_k - y0, y0)), rate)
+        code = SYS_PARTITIONED_DYNAMIC
+        coeffs = np.concatenate(([p.gamma, scale], np.full(n, iso)))
+
+        def run():
+            return integrate_partitioned(p, dist, hist, t_end, dt, dynamic_susceptibles=True,
+                                         cap=cap)
+    else:
+        hist = exponential_history(y0, rate)
+        by_degree = alphas if system == "alpha-by-degree" else None
+        isos = alphas * math.exp(-p.gamma * tau) if by_degree is not None else np.full(n, iso)
+        code = SYS_PARTITIONED_FROZEN
+        coeffs = np.concatenate(([p.gamma, scale], isos, n_k))
+
+        def run():
+            return integrate_partitioned(p, dist, hist, t_end, dt, alpha_by_degree=by_degree,
+                                         cap=cap)
+
+    times = _make_times(t_end, dt)
+    states = np.empty((len(times), len(hist.y0)))
+    derivs = np.empty_like(states)
+    states[0] = hist.y0
+    status, last = ref_rk4_dde(code, times, states, derivs, dt, tau,
+                               np.asarray(coeffs, dtype=np.float64), hist.rate, hist.y0, cap)
+
+    def sample(t):
+        out = np.empty(states.shape[1])
+        ref_dense_eval(float(t), times, states, derivs, len(times) - 1, times[1] - times[0],
+                       hist.rate, hist.y0, out)
+        return out
+
+    return run, (status, last, times, states, derivs), sample
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+ORACLE_SYSTEMS = ("homogeneous", "reduced", "frozen", "dynamic", "alpha-by-degree")
+
+
+class TestStepperOracle:
+    @pytest.mark.parametrize("rate", [0.0, 0.05])
+    @pytest.mark.parametrize("tau", [0.0, 0.37, 1.3])
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS)
+    def test_bit_identical_to_loop_stepper(self, system, tau, rate):
+        run, (status, _, times, states, derivs), ref_sample = oracle_case(system, tau, rate)
+        assert status == 0
+        traj = run()
+        assert same_bits(traj.times, times)
+        assert same_bits(traj.states, states)
+        assert same_bits(traj.derivs, derivs)
+        # the grid ends in a 0.003-day step; sample nodes, interiors, the
+        # tail interval and the history side
+        for t in (-1.3, -0.37, -0.01, 0.0, 0.013, 1.0, 17.2371, 30.0, 30.001, 30.003):
+            assert same_bits(traj.sample(t), ref_sample(t)), t
+
+    # at rho 0.3 these grow through the cap mid-run; the dynamic system is
+    # bounded by its partition sizes
+    @pytest.mark.parametrize("system,cap", [
+        ("reduced", 1.0), ("frozen", 1e4), ("alpha-by-degree", 1e5),
+    ])
+    def test_blow_up_stops_where_the_loop_does(self, system, cap):
+        run, (status, last, times, _, _), _ = oracle_case(system, 0.37, 0.05, rho=0.3, cap=cap)
+        assert status == 1 and 0 < last < len(times) - 1
+        with pytest.raises(IntegrationError) as err:
+            run()
+        assert err.value.t_last == float(times[last])
 
 
 class TestDenseOutput:
