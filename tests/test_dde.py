@@ -268,9 +268,9 @@ ORACLE_DIST = DegreeDistribution({1: 300, 2: 250, 3: 200, 4: 150, 6: 100, 9: 60,
 
 
 def oracle_case(system, tau, rate, rho=0.05, cap=1e12, t_end=30.003, dt=0.05):
-    """(run, reference) for one configuration: run() integrates it with the
-    package, and the reference is (status, last, times, states, derivs)
-    from the loop stepper, plus its sampler."""
+    """(run, reference, sample) for one configuration: run() integrates it
+    with the package; reference is (status, last, times, states, derivs)
+    from the loop stepper, and sample(t) its dense output."""
     dist = ORACLE_DIST
     n = dist.max_degree
     n_k = partition_sizes(dist)
