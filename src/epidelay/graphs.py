@@ -30,6 +30,7 @@ same graph either way.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +62,10 @@ class ContactGraph:
     @property
     def edge_count(self) -> int:
         return len(self.indices) // 2
+
+    @functools.cached_property
+    def max_degree(self) -> int:
+        return int(self.degrees.max())
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]: self.indptr[v + 1]]

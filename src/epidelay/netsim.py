@@ -8,12 +8,15 @@ probability alpha, t_delay (rounded to whole days) after the day it became
 infectious, and moves to Isolated at the start of that day if still
 infectious. Isolation is permanent and only blocks transmission.
 
-Each day draws three length-n uniform arrays in a fixed order, then sweeps
-only the frontier: infectious neighbors are counted from the CSR rows of
-the infectious nodes, infection is tested only on their susceptible
-neighbors, recovery only on infectious and isolated nodes, and isolation
-scheduling only on the newly infected. A day therefore costs the draws plus
-work proportional to the infected nodes' edges, whatever the graph size.
+Each day sweeps only the frontier: infectious neighbors are counted from
+the CSR rows of the infectious nodes, infection is tested only on their
+susceptible neighbors, recovery only on infectious and isolated nodes, and
+isolation scheduling only on the newly infected. Node v's test reads entry v
+of that day's length-n uniform draw (infection, recovery, isolation, in that
+order). When a test reads few entries, the generator jumps to each of them
+instead of drawing all n (`_uniform_at`), and the state carries its alive
+list and removed count, so a quiet day costs work proportional to the
+infected nodes' edges, whatever the graph size.
 Runs within an ensemble use independently derived RNG streams; aggregation
 order is fixed, so results do not depend on the thread count.
 """
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ContactGraph, generate_graph, sorted_unique
+from .graphs import ContactGraph, generate_graph
 from .params import EpidemicParams, ModelError
 
 SUSCEPTIBLE = 0
@@ -57,12 +60,16 @@ class EpidemicState:
     """Mutable per-node epidemic state for one run.
 
     status holds the compartment codes; iso_day is -1 when unset, and the
-    day of infection + round(t_delay) whenever scheduled.
+    day of infection + round(t_delay) whenever scheduled. alive lists the
+    infectious and isolated nodes ascending, and removed counts the removed
+    ones; step_day keeps both in step with status.
     """
 
     status: np.ndarray
     iso_day: np.ndarray
     day: int
+    alive: np.ndarray
+    removed: int
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,53 @@ def _alive(status: np.ndarray) -> np.ndarray:
     return np.flatnonzero((status == INFECTIOUS) | (status == ISOLATED))
 
 
+# A test reading k entries of an n-entry draw jumps to each of them when
+# k * _JUMP_COST < n: one jump plus one scalar draw (1.4-2.7 us) costs about
+# as much as 500-850 entries of a dense draw (3-5 ns each), measured on a
+# 2-vCPU Xeon with numpy 2.4.
+_JUMP_COST = 512
+
+# PCG64's advance(d) skips exactly d 64-bit outputs, one per double that
+# random() returns. Philox's advance counts whole 256-bit blocks, so jumping
+# there would read other numbers; MT19937 and SFC64 cannot advance.
+_JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def _uniform_at(rng: np.random.Generator, n: int, pos: np.ndarray) -> np.ndarray:
+    """Entries `pos` (ascending, distinct) of rng.random(n), leaving rng
+    exactly where rng.random(n) leaves it."""
+    bg = rng.bit_generator
+    if len(pos) * _JUMP_COST >= n or type(bg) not in _JUMPABLE:
+        return rng.random(n)[pos]
+    # advance() drops a buffered uint32, which random(n) would keep
+    before = bg.state
+    draws = []
+    at = 0
+    for p in pos.tolist():
+        bg.advance(p - at)
+        draws.append(rng.random())
+        at = p + 1
+    bg.advance(n - at)
+    if before["has_uint32"]:
+        after = bg.state
+        after["has_uint32"], after["uinteger"] = 1, before["uinteger"]
+        bg.state = after
+    return np.array(draws, dtype=np.float64)
+
+
+def _tally(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the integer array `a`, ascending, and how many
+    times each occurs."""
+    if a.size == 0:
+        return a, a
+    a = np.sort(a)
+    first = np.empty(a.size, dtype=bool)
+    first[0] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return a[starts], np.diff(starts, append=a.size)
+
+
 def _neighbor_entries(graph: ContactGraph, rows: np.ndarray) -> np.ndarray:
     """The CSR neighbor lists of `rows`, concatenated."""
     starts = graph.indptr[rows]
@@ -128,14 +182,13 @@ def init_state(graph: ContactGraph, seeds: np.ndarray, params: EpidemicParams,
     iso_day[seeds[picked]] = start_day + t_days
     due = (status == INFECTIOUS) & (iso_day == start_day)
     status[due] = ISOLATED
-    return EpidemicState(status=status, iso_day=iso_day, day=start_day)
+    return EpidemicState(status=status, iso_day=iso_day, day=start_day,
+                         alive=_alive(status), removed=0)
 
 
 def metrics_from_state(graph: ContactGraph, state: EpidemicState) -> DayMetrics:
-    status = state.status
-    alive = _alive(status)
-    isolated = int(np.count_nonzero(status[alive] == ISOLATED))
-    removed = int(np.count_nonzero(status == REMOVED))
+    alive, removed = state.alive, state.removed
+    isolated = int(np.count_nonzero(state.status[alive] == ISOLATED))
     n_alive = len(alive)
     return DayMetrics(
         day=state.day,
@@ -151,37 +204,34 @@ def step_day(graph: ContactGraph, state: EpidemicState, params: EpidemicParams,
              rng: np.random.Generator) -> DayMetrics:
     """Advance the epidemic one day in place and return the new day's metrics.
 
-    Draws three length-n uniform arrays (infection, recovery, isolation) in
-    a fixed order; node v's transition reads only entry v of each, so
-    testing the frontier alone gives the same day as testing every node.
+    Node v's infection, recovery and isolation tests read entry v of three
+    length-n uniform draws, taken in that order. Only the entries a test
+    reads are drawn (`_uniform_at`), so testing the frontier alone gives the
+    same day, and leaves the generator in the same state, as drawing all
+    three arrays and testing every node.
     """
     n = graph.node_count
-    u_inf = rng.random(n)
-    u_rec = rng.random(n)
-    u_iso = rng.random(n)
-    p_table = infection_prob_table(params.rho, int(graph.degrees.max()))
+    p_table = infection_prob_table(params.rho, graph.max_degree)
     p_rec = -math.expm1(-params.gamma)
-    status, day = state.status, state.day
-    alive = _alive(status)
-    spreaders = alive[status[alive] == INFECTIOUS]
-    neighbors = _neighbor_entries(graph, spreaders)
-    # hits[w] counts the infectious neighbors of w; the graph is simple, so
-    # hits[w] <= degree(w) indexes p_table
-    hits = np.bincount(neighbors, minlength=n)
-    exposed = neighbors[status[neighbors] == SUSCEPTIBLE]
-    # a node listed once per infectious neighbor passes or fails every copy
-    # of its test alike
-    infect = sorted_unique(exposed[u_inf[exposed] < p_table[hits[exposed]]])
-    recover = alive[u_rec[alive] < p_rec]
+    status, alive, day = state.status, state.alive, state.day
+    neighbors = _neighbor_entries(graph, alive[status[alive] == INFECTIOUS])
+    # hits counts each exposed node's infectious neighbors; the graph is
+    # simple, so hits <= degree indexes p_table
+    exposed, hits = _tally(neighbors[status[neighbors] == SUSCEPTIBLE])
+    infect = exposed[_uniform_at(rng, n, exposed) < p_table[hits]]
+    recovers = _uniform_at(rng, n, alive) < p_rec
+    recover = alive[recovers]
 
     status[recover] = REMOVED
     status[infect] = INFECTIOUS
-    schedule = infect[u_iso[infect] < params.alpha]
+    schedule = infect[_uniform_at(rng, n, infect) < params.alpha]
     state.iso_day[schedule] = day + 1 + int(round(params.t_delay))
+    alive = np.sort(np.concatenate((alive[~recovers], infect)))
     # isolation falls due only for nodes infectious yesterday or infected today
-    pool = np.concatenate((alive, infect))
-    due = pool[(status[pool] == INFECTIOUS) & (state.iso_day[pool] == day + 1)]
+    due = alive[(status[alive] == INFECTIOUS) & (state.iso_day[alive] == day + 1)]
     status[due] = ISOLATED
+    state.alive = alive
+    state.removed += len(recover)
     state.day += 1
     return metrics_from_state(graph, state)
 
@@ -276,6 +326,8 @@ def run_ensemble(
         raise ModelError(f"runs must be >= 1, got {runs}")
     if base_seed < 0:
         raise ModelError(f"base_seed must be >= 0, got {base_seed}")
+    if threads < 1:
+        raise ModelError(f"threads must be >= 1, got {threads}")
     shared = spec.build(np.random.SeedSequence(base_seed, spawn_key=(0, 0))) if reuse_graph else None
 
     def one_run(run: int) -> RunResult:

@@ -252,7 +252,8 @@ class TestNetsim:
         assert edges.exists() and len(edges.read_text().splitlines()) > 400
 
     @pytest.mark.parametrize("bad", [["--seed-count", "-1"], ["--seed", "-1"],
-                                     ["--mu", "nan"], ["--mu", "inf"]])
+                                     ["--mu", "nan"], ["--mu", "inf"],
+                                     ["--threads", "0"], ["--threads", "-3"]])
     @pytest.mark.parametrize("graph", ["config-poisson", "barabasi-albert"])
     def test_malformed_inputs(self, graph, bad, tmp_path, capsys):
         assert run_cli("netsim", "--graph", graph, "--nodes", "500", "--runs", "2",

@@ -5,11 +5,14 @@ import pytest
 
 from epidelay.graphs import generate_graph
 from epidelay.netsim import (
+    _JUMP_COST,
     INFECTIOUS,
     ISOLATED,
     REMOVED,
     SUSCEPTIBLE,
     GraphSpec,
+    _alive,
+    _uniform_at,
     infection_prob_table,
     init_state,
     metrics_from_state,
@@ -179,12 +182,40 @@ def dense_step_day(graph, state, params, rng):
             int(tally[ISOLATED]), mean_deg)
 
 
-def assert_matches_dense(graph, params, seeds, days=30):
-    """Run step_day and the dense reference side by side on one stream each;
-    return the per-day infectious counts."""
-    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+def same_state(a, b):
+    """Equality of two bit_generator.state values (dicts holding ints,
+    strings and, for MT19937, an array)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+class DrawLog(np.random.Generator):
+    """A Generator that records the size of every random() call: an int for
+    a dense draw, None for a scalar draw taken after a jump."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.sizes = []
+
+    def random(self, size=None, *args, **kwargs):
+        self.sizes.append(size)
+        return super().random(size, *args, **kwargs)
+
+
+def assert_matches_dense(graph, params, seeds=None, days=30, bit_generator=np.random.PCG64):
+    """Run step_day and the dense reference side by side on one stream each,
+    both seeded through seed_infections (which leaves PCG64 holding a
+    buffered uint32); `seeds`, when given, replaces the drawn seed nodes.
+    Returns the per-day infectious counts and the stepping generator."""
+    rng = DrawLog(bit_generator(8))
+    ref_rng = np.random.Generator(bit_generator(8))
+    drawn = seed_infections(graph, 20, "uniform", rng)
+    seed_infections(graph, 20, "uniform", ref_rng)
+    seeds = drawn if seeds is None else seeds
     state = init_state(graph, seeds, params, rng)
     ref = init_state(graph, seeds, params, ref_rng)
+    rng.sizes.clear()
     infectious = []
     for _ in range(days):
         m = step_day(graph, state, params, rng)
@@ -194,23 +225,36 @@ def assert_matches_dense(graph, params, seeds, days=30):
                 == np.float64(mean_deg).view(np.int64))
         for name in ("status", "iso_day"):
             assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+        assert np.array_equal(state.alive, _alive(state.status))
+        assert state.removed == np.count_nonzero(state.status == REMOVED)
+        assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
         infectious.append(i)
-    return infectious
+    return infectious, rng
 
 
 class TestFrontierSweepOracle:
-    """step_day touches only the frontier yet must give the same day,
-    bit for bit, as sweeping every node."""
+    """step_day touches only the frontier and draws only the entries it
+    tests, yet must give the same day, bit for bit, and leave the generator
+    in the same state as sweeping every node on three dense draws."""
 
     @pytest.mark.parametrize("kind", ["config-poisson", "barabasi-albert",
                                       "watts-strogatz"])
     @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
     @pytest.mark.parametrize("t_delay", [0.0, 1.0, 3.0])
     def test_identical_to_dense_sweep(self, kind, alpha, t_delay):
-        g = generate_graph(kind, 2000, 4.0, 21)
+        # at 20k nodes the jump cut-off is 39 entries, so small frontiers
+        # jump and grown ones draw densely
+        g = generate_graph(kind, 20_000, 4.0, 21)
         p = base_params(alpha=alpha, t_delay=t_delay)
-        seeds = seed_infections(g, 20, "uniform", np.random.default_rng(5))
-        infectious = assert_matches_dense(g, p, seeds)
+        infectious, rng = assert_matches_dense(g, p)
+        assert None in rng.sizes
+        # the recovery test reads every infectious node, so a frontier past
+        # the cut-off draws densely; without isolation it always gets there
+        grown = max(infectious) * _JUMP_COST >= 20_000
+        if grown:
+            assert 20_000 in rng.sizes
+        if alpha == 0.0:
+            assert grown
         if alpha == 1.0 and t_delay == 0.0:
             # every seed is isolated on day 1, so the frontier stays empty
             assert max(infectious) == 0
@@ -221,6 +265,59 @@ class TestFrontierSweepOracle:
         assert len(isolated_nodes) >= 5
         seeds = np.concatenate((isolated_nodes[:5], np.flatnonzero(g.degrees > 0)[:15]))
         assert_matches_dense(g, base_params(alpha=0.6, t_delay=1.0), seeds)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.Philox,
+                                               np.random.MT19937, np.random.SFC64])
+    def test_other_bit_generators(self, bit_generator):
+        g = generate_graph("config-poisson", 20_000, 4.0, 21)
+        _, rng = assert_matches_dense(g, base_params(alpha=0.6, t_delay=1.0),
+                                      bit_generator=bit_generator)
+        # only the PCG64 family can jump; every other generator draws densely
+        assert (None in rng.sizes) == (bit_generator is np.random.PCG64DXSM)
+
+
+class TestUniformAt:
+    """_uniform_at(rng, n, pos) is rng.random(n)[pos], and leaves the
+    generator where rng.random(n) leaves it, buffered uint32 included."""
+
+    N = 10_000
+
+    @pytest.mark.parametrize("pos", [
+        [],
+        [0],
+        [N - 1],
+        [0, 1, 2, N - 1],
+        list(range(0, 15 * (N // 15), N // 15)),    # 15 entries: below the cut-off
+        list(range(0, 25 * (N // 25), N // 25)),    # 25 entries: above it
+        list(range(N)),
+    ])
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM,
+                                               np.random.Philox, np.random.MT19937,
+                                               np.random.SFC64])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_matches_dense_draw(self, pos, bit_generator, buffered):
+        pos = np.array(pos, dtype=np.int64)
+        rng, ref = DrawLog(bit_generator(3)), np.random.Generator(bit_generator(3))
+        if buffered:
+            for g in (rng, ref):
+                g.integers(0, 100, dtype=np.uint32)
+            assert rng.bit_generator.state.get("has_uint32", 1) == 1
+        rng.sizes.clear()
+        got = _uniform_at(rng, self.N, pos)
+        jumps = (bit_generator in (np.random.PCG64, np.random.PCG64DXSM)
+                 and len(pos) * _JUMP_COST < self.N)
+        assert rng.sizes == ([None] * len(pos) if jumps else [self.N])
+        want = ref.random(self.N)[pos]
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+        assert np.array_equal(rng.random(5), ref.random(5))
+        assert np.array_equal(rng.integers(0, 2**32, 5, dtype=np.uint32),
+                              ref.integers(0, 2**32, 5, dtype=np.uint32))
+
+    def test_cut_off_sides(self):
+        # the 15- and 25-entry lists above fall on either side of the cut-off
+        assert 15 * _JUMP_COST < self.N <= 25 * _JUMP_COST
 
 
 class TestEnsemble:
