@@ -161,6 +161,10 @@ def _tally(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _neighbor_entries(graph: ContactGraph, rows: np.ndarray) -> np.ndarray:
     """The CSR neighbor lists of `rows`, concatenated."""
+    if rows.size == 0:
+        # no spreader (an extinct or fully isolated day): skip the dozen
+        # numpy calls below, a seventh of such a day's cost at 1e5 nodes
+        return graph.indices[:0]
     starts = graph.indptr[rows]
     lens = graph.indptr[rows + 1] - starts
     # entry j of row r sits at starts[r] + j; shift a running index so
