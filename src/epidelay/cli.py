@@ -10,13 +10,14 @@ Subcommands:
   netsim     seeded epidemic ensembles on generated random graphs
 
 Every command is deterministic given its flags and seed; reruns produce
-byte-identical CSVs.
+byte-identical CSVs. classify and bound reject a flag their mode ignores.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -47,8 +48,10 @@ from .params import (
     ModelError,
     compute_stats,
     effective_beta,
+    format_float,
     load_distribution,
     reproduction_numbers,
+    write_csv,
 )
 from .stability import (
     NumericalError,
@@ -60,10 +63,6 @@ from .stability import (
 
 # Largest lo:hi:step grid a sweep may ask for; far above any plotted curve.
 MAX_RANGE_POINTS = 1_000_000
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _parse_range(spec: str) -> np.ndarray:
@@ -109,6 +108,13 @@ def _write_sidecar(out_path: str, args: argparse.Namespace, extra: dict | None =
             fh.write(f"{key}={entries[key]}\n")
 
 
+def _refuse(args: argparse.Namespace, mode: str, *flags: str) -> None:
+    """Fail on any of `flags` given together with `mode`, which ignores them."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ModelError(f"{flag} must be left out with {mode}, which ignores it")
+
+
 def _scaled_r0(r0: float, cv: float) -> float:
     """Homogeneous-equivalent R0 of a population whose degree coefficient of
     variation is cv: heterogeneity multiplies R0 by h = 1 + cv^2."""
@@ -122,6 +128,7 @@ def cmd_bound(args) -> int:
     if (args.r0_range is None) == (args.cv_range is None):
         raise ModelError("exactly one of --r0-range / --cv-range is required")
     if args.r0_range is not None:
+        _refuse(args, "--r0-range", "--r0")
         xs = r0s = _parse_range(args.r0_range).tolist()
     else:
         if args.r0 is None:
@@ -133,11 +140,9 @@ def cmd_bound(args) -> int:
     for alpha in alphas:
         params = EpidemicParams(rho=0.0, gamma=args.gamma, alpha=alpha, t_delay=0.0)
         for x, r0 in zip(xs, r0s):
-            rows.append((x, alpha, homogeneous_delay_bound(params, r0)))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("x,alpha,T_max_days,verdict\n")
-        for x, alpha, verdict in rows:
-            fh.write(f"{_fmt(x)},{_fmt(alpha)},{_fmt(verdict.t_max)},{verdict.kind.value}\n")
+            verdict = homogeneous_delay_bound(params, r0)
+            rows.append((x, alpha, verdict.t_max, verdict.kind.value))
+    write_csv(args.out, ("x", "alpha", "T_max_days", "verdict"), rows)
     _write_sidecar(args.out, args, {"rows": len(rows)})
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -145,6 +150,7 @@ def cmd_bound(args) -> int:
 
 def cmd_classify(args) -> int:
     if args.dist is not None:
+        _refuse(args, "--dist", "--r0", "--cv")
         if args.rho is None:
             raise ModelError("--dist requires --rho")
         params = EpidemicParams(rho=args.rho, gamma=args.gamma, alpha=args.alpha,
@@ -155,6 +161,7 @@ def cmd_classify(args) -> int:
         verdict = heterogeneous_delay_bound(params, stats)
         beta_h = effective_beta(params, stats)
     elif args.r0 is not None:
+        _refuse(args, "--r0", "--rho")
         if args.fixed_graph:
             # the fixed-graph h = (mu + sigma^2/mu - 1)/mu needs the mean
             # degree, which R0 and cv do not give
@@ -162,7 +169,7 @@ def cmd_classify(args) -> int:
                              "mean degree")
         params = EpidemicParams(rho=0.0, gamma=args.gamma, alpha=args.alpha,
                                 t_delay=args.t_delay)
-        r0_h = _scaled_r0(args.r0, args.cv)
+        r0_h = _scaled_r0(args.r0, 0.0 if args.cv is None else args.cv)
         verdict = homogeneous_delay_bound(params, r0_h)
         beta_h = r0_h * args.gamma
     else:
@@ -179,11 +186,11 @@ def cmd_classify(args) -> int:
     print(f"rightmost root at t_delay={args.t_delay}: "
           f"{verdict.rightmost_root.real:.6g} {verdict.rightmost_root.imag:+.6g}i "
           f"(margin {verdict.margin:.6g}/day; secondary root at -gamma = {-args.gamma:.6g})")
-    machine = (
-        f"verdict={kind.value} t_max_days={_fmt(verdict.t_max)} "
-        f"root_re={_fmt(verdict.rightmost_root.real)} root_im={_fmt(verdict.rightmost_root.imag)} "
-        f"margin={_fmt(verdict.margin)} r0_eff={_fmt(r0)} re={_fmt(re)}"
-    )
+    fields = {"t_max_days": verdict.t_max, "root_re": verdict.rightmost_root.real,
+              "root_im": verdict.rightmost_root.imag, "margin": verdict.margin,
+              "r0_eff": r0, "re": re}
+    machine = " ".join([f"verdict={kind.value}"]
+                       + [f"{key}={format_float(val)}" for key, val in fields.items()])
     print(machine)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -204,12 +211,11 @@ def cmd_dde(args) -> int:
                             t_delay=args.t_delay)
     window = (_parse_window(args.fit_window) if args.fit_window
               else default_fit_window(params, args.horizon))
-    rate = args.history_rate if args.history == "exponential" else 0.0
+    rate = args.history_rate
     gap = None
 
     if args.system == "homogeneous":
-        beta = args.beta if args.beta is not None \
-            else effective_beta(params, DegreeStats.from_mu_cv(args.mu, args.cv))
+        beta = effective_beta(params, DegreeStats.from_mu_cv(args.mu, args.cv))
         hist = exponential_history([1.0 - args.i0, args.i0, 0.0], rate)
         traj = integrate_homogeneous(params, beta, hist, args.horizon, args.dt)
         fit = estimate_growth_rate(traj, "i", window)
@@ -244,30 +250,26 @@ def cmd_dde(args) -> int:
                                        args.horizon, args.dt)
             agg_r = traj_r.component("i")
             gap = float(np.max(np.abs(agg - agg_r) / np.maximum(np.abs(agg_r), 1e-300)))
-            header = "t,i_partitioned,i_reduced"
-            columns = np.column_stack([agg, agg_r])
+            header = ("t", "i_partitioned", "i_reduced")
+            columns = np.column_stack([traj.times, agg, agg_r])
         else:
-            header = "t," + ",".join(traj.components) + ",i_aggregate"
-            columns = np.column_stack([traj.states, agg])
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for t, row in zip(traj.times, columns):
-                fh.write(",".join([_fmt(t)] + [_fmt(v) for v in row]) + "\n")
+            header = ("t", *traj.components, "i_aggregate")
+            columns = np.column_stack([traj.times, traj.states, agg])
+        write_csv(args.out, header, map(np.ndarray.tolist, columns))
 
-    extra = {"fitted_rate_per_day": _fmt(fit.rate)}
-    summary = (f"fitted_rate_per_day={_fmt(fit.rate)} residual_rms={_fmt(fit.residual_rms)} "
+    extra = {"fitted_rate_per_day": format_float(fit.rate)}
+    summary = (f"fitted_rate_per_day={format_float(fit.rate)} "
+               f"residual_rms={format_float(fit.residual_rms)} "
                f"fit_window={window[0]:g}:{window[1]:g}")
     if gap is not None:
-        extra["max_rel_gap"] = _fmt(gap)
-        summary += f" max_rel_gap={_fmt(gap)}"
+        extra["max_rel_gap"] = format_float(gap)
+        summary += f" max_rel_gap={format_float(gap)}"
     print(summary)
     _write_sidecar(args.out, args, extra)
     return 0
 
 
 def cmd_netsim(args) -> int:
-    if args.desk_scale:
-        args.nodes, args.runs = 100_000, 100
     params = EpidemicParams(rho=args.rho, gamma=args.gamma, alpha=args.alpha,
                             t_delay=args.t_delay)
     spec = GraphSpec(kind=args.graph, node_count=args.nodes, mean_degree=args.mu,
@@ -277,15 +279,15 @@ def cmd_netsim(args) -> int:
                          base_seed=args.seed, reuse_graph=args.reuse_graph,
                          threads=args.threads)
     write_runs_csv(stats, args.out)
-    agg_out = args.agg_out or (str(args.out).rsplit(".", 1)[0] + "_aggregate.csv")
+    agg_out = args.agg_out or (os.path.splitext(args.out)[0] + "_aggregate.csv")
     write_aggregate_csv(stats, agg_out)
     if args.export_graph:
         spec.build(np.random.SeedSequence(args.seed, spawn_key=(0, 0))).write_edge_list(
             args.export_graph)
     _write_sidecar(args.out, args, {
         "aggregate_out": agg_out,
-        "census_mu_mean": _fmt(float(stats.census_mu.mean())),
-        "census_var_mean": _fmt(float(stats.census_var.mean())),
+        "census_mu_mean": format_float(float(stats.census_mu.mean())),
+        "census_var_mean": format_float(float(stats.census_var.mean())),
     })
     print(f"wrote {args.runs} runs x {args.days} days to {args.out} and {agg_out}")
     return 0
@@ -315,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--dist", help="degree distribution file (k,count)")
     p_cls.add_argument("--rho", type=float, help="per-contact transmission rate (with --dist)")
     p_cls.add_argument("--r0", type=float, help="homogeneous-equivalent R0")
-    p_cls.add_argument("--cv", type=float, default=0.0)
+    p_cls.add_argument("--cv", type=float,
+                       help="degree coefficient of variation (with --r0; default 0)")
     p_cls.add_argument("--fixed-graph", action="store_true",
                        help="use the fixed-graph heterogeneity correction")
     p_cls.add_argument("--alpha", type=float, required=True)
@@ -331,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dde.add_argument("--gamma", type=float, default=0.1)
     p_dde.add_argument("--alpha", type=float, default=0.0)
     p_dde.add_argument("--t-delay", type=float, default=0.0)
-    p_dde.add_argument("--beta", type=float, help="mixing rate override (homogeneous)")
-    p_dde.add_argument("--mu", type=float, default=4.0)
+    p_dde.add_argument("--mu", type=float, default=4.0,
+                       help="mean degree; without --dist the mixing rate is rho*mu*(1 + cv^2)")
     p_dde.add_argument("--cv", type=float, default=0.0)
     p_dde.add_argument("--dist", help="degree distribution file (partitioned/reduced)")
     p_dde.add_argument("--i0", type=float, default=1e-5,
@@ -346,8 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evolve susceptibles instead of freezing them")
     p_dde.add_argument("--paired", action="store_true",
                        help="partitioned: also run the reduced system and report the gap")
-    p_dde.add_argument("--history", choices=("constant", "exponential"), default="constant")
-    p_dde.add_argument("--history-rate", type=float, default=0.0)
+    p_dde.add_argument("--history-rate", type=float, default=0.0,
+                       help="initial history y(0)*exp(rate*theta) on [-t_delay, 0]; "
+                            "0 holds it constant")
     p_dde.add_argument("--horizon", type=float, default=100.0)
     p_dde.add_argument("--dt", type=float, default=0.01)
     p_dde.add_argument("--fit-window", help="growth fit window lo,hi (days)")
@@ -357,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_net = sub.add_parser("netsim", help="seeded epidemic ensemble on random graphs")
     p_net.add_argument("--graph", choices=("config-poisson", "barabasi-albert",
                                            "watts-strogatz"), required=True)
-    p_net.add_argument("--nodes", type=int, default=100_000)
+    p_net.add_argument("--nodes", type=int, default=100_000, help="default: desk scale, 1e5")
     p_net.add_argument("--mu", type=float, default=4.0)
     p_net.add_argument("--ws-rewire", type=float, default=0.1)
     p_net.add_argument("--rho", type=float, default=0.2)
@@ -366,17 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--t-delay", type=float, default=0.0)
     p_net.add_argument("--seeding", choices=("uniform", "degree"), default="uniform")
     p_net.add_argument("--seed-count", type=int, default=10)
-    p_net.add_argument("--runs", type=int, default=100)
+    p_net.add_argument("--runs", type=int, default=100, help="default: desk scale, 100")
     p_net.add_argument("--days", type=int, default=30)
     p_net.add_argument("--seed", type=int, default=0)
     p_net.add_argument("--threads", type=int, default=1)
     p_net.add_argument("--reuse-graph", action="store_true",
                        help="share one graph realization across runs")
-    p_net.add_argument("--desk-scale", action="store_true",
-                       help="preset: 1e5 nodes x 100 runs")
     p_net.add_argument("--export-graph", help="also write the run-0 graph as an edge list")
     p_net.add_argument("--out", required=True)
-    p_net.add_argument("--agg-out", help="aggregate CSV path (default <out>_aggregate.csv)")
+    p_net.add_argument("--agg-out", help="aggregate CSV path (default: <out> without its "
+                                         "extension, then _aggregate.csv)")
     p_net.set_defaults(func=cmd_netsim)
     return parser
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DegreeDistribution, EpidemicParams, ModelError, effective_beta
+from .params import DegreeDistribution, EpidemicParams, ModelError, effective_beta, write_csv
 
 # Largest time grid (nodes x state components) an integration may allocate:
 # far above any grid in use (10,001 nodes x 80 components), while its states
@@ -63,16 +63,22 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class History:
-    """Initial-history function on [-tau, 0]: y(theta) = y0 * exp(rate*theta)."""
+    """Initial-history function on [-tau, 0]: y(theta) = y0 * exp(rate*theta),
+    with y0 and rate finite."""
 
     y0: np.ndarray
     rate: float = 0.0
 
     def __post_init__(self):
         y0 = np.asarray(self.y0, dtype=np.float64).copy()
+        rate = float(self.rate)
+        if not np.isfinite(y0).all():
+            raise ModelError(f"history y0 must be finite, got {y0}")
+        if not math.isfinite(rate):
+            raise ModelError(f"history rate must be finite, got {rate}")
         y0.setflags(write=False)
         object.__setattr__(self, "y0", y0)
-        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "rate", rate)
 
     def __call__(self, theta: float) -> np.ndarray:
         return self.y0 * math.exp(self.rate * theta)
@@ -113,11 +119,8 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write `t,<components>` rows at full double precision."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t," + ",".join(self.components) + "\n")
-            for i in range(len(self.times)):
-                row = [f"{self.times[i]:.17g}"] + [f"{v:.17g}" for v in self.states[i]]
-                fh.write(",".join(row) + "\n")
+        write_csv(path, ("t",) + self.components,
+                  map(np.ndarray.tolist, np.column_stack((self.times, self.states))))
 
 
 @dataclass(frozen=True)

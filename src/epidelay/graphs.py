@@ -40,6 +40,12 @@ from .params import DegreeDistribution, ModelError
 
 GRAPH_KINDS = ("config-poisson", "barabasi-albert", "watts-strogatz")
 
+# Largest node_count * mean_degree a build may ask for: far above any graph
+# in use (1e6 nodes x mean degree 10), while a build's transient arrays
+# (about 38 bytes per unit, measured at 1e5-2e5 nodes, so 3.8 GB at the
+# limit) still fit in memory.
+MAX_GRAPH_STUBS = 100_000_000
+
 
 @dataclass(frozen=True)
 class ContactGraph:
@@ -48,7 +54,6 @@ class ContactGraph:
     indptr: np.ndarray
     indices: np.ndarray
     degrees: np.ndarray
-    generator: str
     seed_key: tuple
 
     def __post_init__(self):
@@ -342,9 +347,11 @@ def generate_graph(
 ) -> ContactGraph:
     """Build one of the three graph families, reproducibly from `seed`.
 
-    seed is an int or a numpy SeedSequence. The empirical mean degree is
-    checked against the request: 2% tolerance, widened to the degree-sampling
-    noise floor on small graphs.
+    seed is an int or a numpy SeedSequence. The request must have
+    1 <= mean_degree <= node_count - 1 and node_count * mean_degree at most
+    MAX_GRAPH_STUBS. The empirical mean degree is checked against the
+    request: 2% tolerance, widened to the degree-sampling noise floor on
+    small graphs.
     """
     if kind not in GRAPH_KINDS:
         raise ModelError(f"unknown graph kind {kind!r}; choose from {GRAPH_KINDS}")
@@ -352,6 +359,11 @@ def generate_graph(
         raise ModelError(f"node_count must be >= 100, got {node_count}")
     if not 1.0 <= mean_degree < math.inf:
         raise ModelError(f"mean_degree must be finite and >= 1, got {mean_degree}")
+    if mean_degree > node_count - 1:
+        raise ModelError(f"mean_degree {mean_degree} exceeds node_count - 1 = {node_count - 1}")
+    if node_count * mean_degree > MAX_GRAPH_STUBS:
+        raise ModelError(f"node_count x mean_degree = {node_count:g} x {mean_degree:g} "
+                         f"exceeds {MAX_GRAPH_STUBS}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
     if kind == "config-poisson":
@@ -366,7 +378,6 @@ def generate_graph(
         indptr=indptr,
         indices=indices,
         degrees=degrees,
-        generator=kind,
         seed_key=tuple(ss.entropy if isinstance(ss.entropy, (list, tuple)) else [ss.entropy])
         + tuple(ss.spawn_key),
     )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import ContactGraph, generate_graph
-from .params import EpidemicParams, ModelError
+from .params import EpidemicParams, ModelError, write_csv
 
 SUSCEPTIBLE = 0
 INFECTIOUS = 1
@@ -39,6 +39,9 @@ ISOLATED = 2
 REMOVED = 3
 
 SEEDING_MODES = ("uniform", "degree")
+
+# Day number of the seeded initial state; each step_day adds one.
+FIRST_DAY = 1
 
 
 @dataclass(frozen=True)
@@ -174,8 +177,8 @@ def _neighbor_entries(graph: ContactGraph, rows: np.ndarray) -> np.ndarray:
 
 
 def init_state(graph: ContactGraph, seeds: np.ndarray, params: EpidemicParams,
-               rng: np.random.Generator, start_day: int = 1) -> EpidemicState:
-    """Day-`start_day` state with the given seed nodes infectious and the
+               rng: np.random.Generator) -> EpidemicState:
+    """Day-FIRST_DAY state with the given seed nodes infectious and the
     isolation scheme already applied to them."""
     n = graph.node_count
     status = np.zeros(n, dtype=np.int8)
@@ -183,10 +186,10 @@ def init_state(graph: ContactGraph, seeds: np.ndarray, params: EpidemicParams,
     status[seeds] = INFECTIOUS
     t_days = int(round(params.t_delay))
     picked = rng.random(len(seeds)) < params.alpha
-    iso_day[seeds[picked]] = start_day + t_days
-    due = (status == INFECTIOUS) & (iso_day == start_day)
+    iso_day[seeds[picked]] = FIRST_DAY + t_days
+    due = (status == INFECTIOUS) & (iso_day == FIRST_DAY)
     status[due] = ISOLATED
-    return EpidemicState(status=status, iso_day=iso_day, day=start_day,
+    return EpidemicState(status=status, iso_day=iso_day, day=FIRST_DAY,
                          alive=_alive(status), removed=0)
 
 
@@ -290,10 +293,6 @@ class NetworkEnsembleStats:
     base_seed: int
     run_count: int
 
-    @property
-    def node_count(self) -> int:
-        return int(self.s[0, 0] + self.i[0, 0] + self.r[0, 0] + self.isolated[0, 0])
-
     def ensemble_mean_inf_degree(self) -> np.ndarray:
         return np.nanmean(self.mean_inf_degree, axis=0)
 
@@ -340,15 +339,12 @@ def run_ensemble(
         rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(run, 1)))
         return run_single(graph, params, seeding, seed_count, days, rng)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_run, range(runs)))
-    else:
-        results = [one_run(run) for run in range(runs)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(one_run, range(runs)))
 
     stack = lambda attr: np.stack([getattr(res, attr) for res in results])
     return NetworkEnsembleStats(
-        days=np.arange(1, days + 1, dtype=np.int64),
+        days=np.arange(FIRST_DAY, FIRST_DAY + days, dtype=np.int64),
         s=stack("s"),
         i=stack("i"),
         r=stack("r"),
@@ -363,30 +359,19 @@ def run_ensemble(
 
 def write_runs_csv(stats: NetworkEnsembleStats, path) -> None:
     """Per-run rows: day,run,S,I,R,isolated,mean_inf_degree."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("day,run,S,I,R,isolated,mean_inf_degree\n")
-        for run in range(stats.run_count):
-            for d in range(len(stats.days)):
-                fh.write(
-                    f"{stats.days[d]},{run},{stats.s[run, d]},{stats.i[run, d]},"
-                    f"{stats.r[run, d]},{stats.isolated[run, d]},"
-                    f"{stats.mean_inf_degree[run, d]:.17g}\n"
-                )
+    columns = (stats.s, stats.i, stats.r, stats.isolated, stats.mean_inf_degree)
+    write_csv(path, ("day", "run", "S", "I", "R", "isolated", "mean_inf_degree"), (
+        (day, run, *values)
+        for run in range(stats.run_count)
+        for day, *values in zip(stats.days.tolist(), *(col[run].tolist() for col in columns))))
 
 
 def write_aggregate_csv(stats: NetworkEnsembleStats, path) -> None:
     """Ensemble means per day plus the across-run spread of the infectious
     mean degree."""
-    mean_s = stats.s.mean(axis=0)
-    mean_i = stats.i.mean(axis=0)
-    mean_r = stats.r.mean(axis=0)
-    mean_iso = stats.isolated.mean(axis=0)
-    mean_deg = stats.ensemble_mean_inf_degree()
-    sd_deg = stats.stddev_inf_degree()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("day,mean_S,mean_I,mean_R,mean_isolated,mean_inf_degree,stddev_inf_degree\n")
-        for d in range(len(stats.days)):
-            fh.write(
-                f"{stats.days[d]},{mean_s[d]:.17g},{mean_i[d]:.17g},{mean_r[d]:.17g},"
-                f"{mean_iso[d]:.17g},{mean_deg[d]:.17g},{sd_deg[d]:.17g}\n"
-            )
+    columns = (stats.s.mean(axis=0), stats.i.mean(axis=0), stats.r.mean(axis=0),
+               stats.isolated.mean(axis=0), stats.ensemble_mean_inf_degree(),
+               stats.stddev_inf_degree())
+    write_csv(path, ("day", "mean_S", "mean_I", "mean_R", "mean_isolated", "mean_inf_degree",
+                     "stddev_inf_degree"),
+              zip(stats.days.tolist(), *(col.tolist() for col in columns)))

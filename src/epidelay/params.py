@@ -4,7 +4,7 @@ Single source of truth for the symbols used by every other module:
 transmission/recovery/isolation rates, contact-degree distributions stored
 as exact integer counts, and the moment statistics (mean, variance,
 coefficient of variation, third raw moment, heterogeneity factor) derived
-from them.
+from them. Degree files are read here, and every CSV is written here.
 """
 
 from __future__ import annotations
@@ -193,3 +193,26 @@ def load_distribution(path) -> DegreeDistribution:
             raise ModelError(f"{path}: line {lineno}: duplicate degree {k}")
         counts[k] = n_k
     return DegreeDistribution(counts)
+
+
+# Every float the package writes, in CSVs, sidecars and machine lines, has
+# 17 significant digits, enough to read back the same double.
+_FLOAT_FIELD = "{:.17g}"
+format_float = _FLOAT_FIELD.format
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the column names `header`, then one line per row: floats as
+    format_float, every other value as str() would."""
+    # one str.format template per sequence of value types formats a whole
+    # row in one call rather than one call per value
+    templates = {}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            types = tuple(map(type, row))
+            template = templates.get(types)
+            if template is None:
+                template = templates[types] = ",".join(
+                    _FLOAT_FIELD if issubclass(t, float) else "{}" for t in types) + "\n"
+            fh.write(template.format(*row))

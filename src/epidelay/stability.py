@@ -30,6 +30,8 @@ from .params import DegreeStats, EpidemicParams, ModelError, effective_beta
 _BRANCH_POINT = -math.exp(-1.0)
 # Absolute slack absorbing last-ulp rounding when callers compute w*exp(w).
 _BRANCH_SLACK = 1e-14
+# Damped-Newton iterations rightmost_root allows on the complex branch.
+_ROOT_MAX_ITER = 200
 
 
 class NumericalError(RuntimeError):
@@ -167,7 +169,7 @@ def char_fn(s: complex, beta_h: float, params: EpidemicParams) -> complex:
     return s - beta_h * (1.0 - al * cmath.exp(-(g + s) * tau)) + g
 
 
-def rightmost_root(cp: CharacteristicParams, max_iter: int = 200) -> complex:
+def rightmost_root(cp: CharacteristicParams) -> complex:
     """Root of s = a + b*exp(-s*tau) with maximal real part.
 
     For tau = 0 the equation is algebraic and the root is a + b. Otherwise,
@@ -196,7 +198,7 @@ def rightmost_root(cp: CharacteristicParams, max_iter: int = 200) -> complex:
 
     s = complex(a - 1.0 / tau, math.pi / (2.0 * tau))
     res = abs(f(s))
-    for _ in range(max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         if res <= 1e-12:
             return s if s.imag >= 0.0 else s.conjugate()
         step = f(s) / fprime(s)
@@ -213,7 +215,7 @@ def rightmost_root(cp: CharacteristicParams, max_iter: int = 200) -> complex:
             )
         s, res = cand, cand_res
     raise NumericalError(
-        f"rightmost_root: no convergence after {max_iter} iterations, "
+        f"rightmost_root: no convergence after {_ROOT_MAX_ITER} iterations, "
         f"s={s}, |f|={res:.3e} for {cp}"
     )
 

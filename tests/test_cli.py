@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from epidelay.cli import main
+from epidelay.dde import exponential_history, integrate_reduced
+from epidelay.params import DegreeStats, EpidemicParams, effective_beta
 
 
 def run_cli(*argv) -> int:
@@ -75,9 +77,12 @@ class TestClassify:
         (["--r0", "3", "--cv", "nan"], "cv"),
         (["--rho", "nan"], "rho"), (["--rho", "-0.5"], "rho"), (["--rho", "1.5"], "rho"),
         (["--r0", "3", "--cv", "0.5", "--fixed-graph"], "--fixed-graph"),
+        # flags the chosen mode would ignore
+        (["--rho", "0.1", "--cv", "5"], "--cv"), (["--rho", "0.1", "--r0", "3"], "--r0"),
+        (["--r0", "3", "--rho", "0.1"], "--rho"),
     ])
     def test_invalid_inputs(self, argv, name, tmp_path, capsys):
-        if "--rho" in argv:
+        if argv[0] == "--rho":
             dist = tmp_path / "two_point.csv"
             dist.write_text("k,count\n1,500\n7,500\n", encoding="utf-8")
             argv = ["--dist", str(dist), *argv]
@@ -91,6 +96,11 @@ class TestClassify:
         meta = (tmp_path / "verdict.txt.meta").read_text()
         assert "artifact_version=" in meta
         assert "arg_alpha=0.8" in meta
+        # --cv has no default, so the sidecar lists it only when given
+        assert "arg_cv=" not in meta
+        assert run_cli("classify", "--r0", "3", "--cv", "0.5", "--alpha", "0.8",
+                       "--out", str(out)) == 0
+        assert "arg_cv=0.5" in (tmp_path / "verdict.txt.meta").read_text()
 
 
 class TestBound:
@@ -136,6 +146,11 @@ class TestBound:
         assert run_cli("bound", "--out", str(tmp_path / "x.csv")) == 1
         assert run_cli("bound", "--r0-range", "1:2:1", "--cv-range", "0:1:0.5",
                        "--r0", "3", "--out", str(tmp_path / "x.csv")) == 1
+
+    def test_r0_range_refuses_r0(self, tmp_path, capsys):
+        assert run_cli("bound", "--r0-range", "1:2:0.5", "--r0", "9",
+                       "--out", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err.startswith("error: --r0 must be")
 
     def test_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -213,6 +228,31 @@ class TestDde:
                        "--out", str(tmp_path / "x.csv")) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_history_rate_applies(self, tmp_path):
+        # the history enters through the isolation term, so alpha > 0
+        argv = ["dde", "--system", "reduced", "--alpha", "0.5", "--t-delay", "1", "--out"]
+        out = tmp_path / "rate.csv"
+        assert run_cli(*argv, str(out), "--history-rate", "0.05") == 0
+        params = EpidemicParams(rho=0.075, gamma=0.1, alpha=0.5, t_delay=1.0)
+        stats = DegreeStats.from_mu_cv(4.0, 0.0)
+        i0 = 1e-5
+        ref = tmp_path / "ref.csv"
+        integrate_reduced(params, stats,
+                          exponential_history([i0, effective_beta(params, stats) * i0], 0.05),
+                          100.0, 0.01).to_csv(ref)
+        assert out.read_bytes() == ref.read_bytes()
+        flat = tmp_path / "flat.csv"
+        assert run_cli(*argv, str(flat)) == 0
+        assert flat.read_bytes() != out.read_bytes()
+
+    @pytest.mark.parametrize("system", ["homogeneous", "reduced"])
+    @pytest.mark.parametrize("bad", [["--i0", "nan"], ["--i0", "inf"],
+                                     ["--history-rate", "nan"], ["--history-rate=-inf"]])
+    def test_non_finite_history(self, system, bad, tmp_path, capsys):
+        assert run_cli("dde", "--system", system, "--t-delay", "1", *bad,
+                       "--out", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err.startswith("error: history")
+
     def test_partitioned_requires_dist(self, tmp_path, capsys):
         assert run_cli("dde", "--system", "partitioned",
                        "--out", str(tmp_path / "x.csv")) == 1
@@ -243,6 +283,15 @@ class TestNetsim:
         assert run_cli(*base, "--threads", "4", "--out", str(out4)) == 0
         assert out1.read_bytes() == out4.read_bytes()
 
+    def test_default_aggregate_path_in_dotted_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "results.v2").mkdir()
+        assert run_cli("netsim", "--graph", "config-poisson", "--nodes", "500", "--runs", "1",
+                       "--days", "3", "--out", "results.v2/runs") == 0
+        assert sorted(p.name for p in (tmp_path / "results.v2").iterdir()) == [
+            "runs", "runs.meta", "runs_aggregate.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.v2"]
+
     def test_graph_export(self, tmp_path):
         out = tmp_path / "runs.csv"
         edges = tmp_path / "graph.txt"
@@ -253,7 +302,10 @@ class TestNetsim:
 
     @pytest.mark.parametrize("bad", [["--seed-count", "-1"], ["--seed", "-1"],
                                      ["--mu", "nan"], ["--mu", "inf"],
-                                     ["--threads", "0"], ["--threads", "-3"]])
+                                     ["--threads", "0"], ["--threads", "-3"],
+                                     # oversized graphs fail before any allocation
+                                     ["--nodes", "100000000000"],
+                                     ["--nodes", "200000", "--mu", "150000"]])
     @pytest.mark.parametrize("graph", ["config-poisson", "barabasi-albert"])
     def test_malformed_inputs(self, graph, bad, tmp_path, capsys):
         assert run_cli("netsim", "--graph", graph, "--nodes", "500", "--runs", "2",

@@ -147,6 +147,20 @@ class TestHomogeneous:
         assert np.array_equal(a.times, b.times)
 
 
+class TestHistory:
+    @pytest.mark.parametrize("y0,rate", [([math.nan, 0.1], 0.0), ([0.9, math.inf], 0.0),
+                                         ([0.9, 0.1], math.nan), ([0.9, 0.1], math.inf),
+                                         ([0.9, 0.1], -math.inf)])
+    def test_non_finite_rejected(self, y0, rate):
+        with pytest.raises(ModelError, match="history"):
+            exponential_history(y0, rate)
+
+    def test_rate_zero_is_constant(self):
+        y0 = [0.3, 1.0 / 7.0]
+        for theta in (-2.5, -1e-9, 0.0):
+            assert np.array_equal(exponential_history(y0, 0.0)(theta), constant_history(y0)(theta))
+
+
 # Reference stepper: the scalar loops the kernels replaced, one component at a
 # time, with the systems selected by code and their coefficients packed into
 # one array. The kernels must reproduce it bit for bit.

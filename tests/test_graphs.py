@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from epidelay.graphs import (ContactGraph, _ba_attach, _csr_from_edges, _ws_rewire,
-                             generate_graph, sorted_unique)
+from epidelay.graphs import (MAX_GRAPH_STUBS, ContactGraph, _ba_attach, _csr_from_edges,
+                             _ws_rewire, generate_graph, sorted_unique)
 from epidelay.params import ModelError
 
 
@@ -105,6 +105,25 @@ class TestValidation:
     def test_non_finite_mean_degree(self, kind, mu):
         with pytest.raises(ModelError):
             generate_graph(kind, 1000, mu, 0)
+
+    @pytest.mark.parametrize("kind", ["config-poisson", "barabasi-albert", "watts-strogatz"])
+    @pytest.mark.parametrize("n,mu", [(100, 99.5), (1000, 1000.0), (5000, 1e9)])
+    def test_mean_degree_above_node_count_minus_one(self, kind, n, mu):
+        with pytest.raises(ModelError, match="node_count - 1"):
+            generate_graph(kind, n, mu, 0)
+
+    @pytest.mark.parametrize("kind", ["config-poisson", "barabasi-albert", "watts-strogatz"])
+    @pytest.mark.parametrize("n,mu", [(100_000_000_000, 4.0), (200_000, 150_000.0),
+                                      (MAX_GRAPH_STUBS // 10 + 1, 10.0), (10 ** 30, 1.0)])
+    def test_oversized_request(self, kind, n, mu):
+        # rejected before anything is allocated: each request needs gigabytes
+        with pytest.raises(ModelError, match="exceeds"):
+            generate_graph(kind, n, mu, 0)
+
+    def test_complete_graph_accepted(self):
+        # mean_degree = node_count - 1 is the largest request allowed
+        g = generate_graph("watts-strogatz", 101, 100.0, 0, ws_rewire=0.0)
+        assert g.edge_count == 101 * 100 // 2
 
     def test_degree_distribution_export(self):
         g = generate_graph("config-poisson", 5000, 4.0, 6)

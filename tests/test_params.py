@@ -13,6 +13,7 @@ from epidelay.params import (
     effective_beta,
     load_distribution,
     reproduction_numbers,
+    write_csv,
 )
 
 
@@ -218,3 +219,28 @@ class TestLoadDistribution:
         path.write_text("k,count\n1,500\n1,20\n", encoding="utf-8")
         with pytest.raises(ModelError, match="line 3"):
             load_distribution(path)
+
+
+class TestWriteCsv:
+    def test_exact_bytes_per_type(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ("a", "b", "c"), [
+            (7, np.int64(-12), 0.1),
+            (float("nan"), float("inf"), -0.0),
+            ("stable_up_to", np.float64(1.0) / 3.0, -float("inf")),
+        ])
+        assert path.read_bytes() == (b"a,b,c\n"
+                                     b"7,-12,0.10000000000000001\n"
+                                     b"nan,inf,-0\n"
+                                     b"stable_up_to,0.33333333333333331,-inf\n")
+
+    def test_floats_read_back_exactly(self, tmp_path):
+        path = tmp_path / "out.csv"
+        values = [math.pi, 1e-300, 5e-324, 1.7976931348623157e308, 2.0 ** 60]
+        write_csv(path, ("x",), [(v,) for v in values])
+        assert [float(v) for v in path.read_text().split()[1:]] == values
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ("day", "run"), [])
+        assert path.read_bytes() == b"day,run\n"
