@@ -12,7 +12,6 @@ from .dde import (
     constant_history,
     consistent_reduced_history,
     estimate_growth_rate,
-    exponential_history,
     infectious_fraction,
     integrate_homogeneous,
     integrate_partitioned,

@@ -10,7 +10,7 @@ Subcommands:
   netsim     seeded epidemic ensembles on generated random graphs
 
 Every command is deterministic given its flags and seed; reruns produce
-byte-identical CSVs. classify and bound reject a flag their mode ignores.
+byte-identical CSVs. classify, bound and dde reject a flag their mode ignores.
 """
 
 from __future__ import annotations
@@ -24,18 +24,20 @@ import numpy as np
 
 from . import __version__
 from .dde import (
+    History,
     IntegrationError,
     consistent_reduced_history,
     default_fit_window,
     estimate_growth_rate,
-    exponential_history,
     infectious_fraction,
     integrate_homogeneous,
     integrate_partitioned,
     integrate_reduced,
     partition_sizes,
 )
+from .graphs import GRAPH_KINDS
 from .netsim import (
+    SEEDING_MODES,
     GraphSpec,
     run_ensemble,
     write_aggregate_csv,
@@ -109,9 +111,12 @@ def _write_sidecar(out_path: str, args: argparse.Namespace, extra: dict | None =
 
 
 def _refuse(args: argparse.Namespace, mode: str, *flags: str) -> None:
-    """Fail on any of `flags` given together with `mode`, which ignores them."""
+    """Fail on any of `flags` given together with `mode`, which ignores them.
+    A flag is absent when it holds None, or False for a store_true switch;
+    the identity tests keep a given 0 or 0.0, which equals False, present."""
     for flag in flags:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
+        val = getattr(args, flag[2:].replace("-", "_"))
+        if not (val is None or val is False):
             raise ModelError(f"{flag} must be left out with {mode}, which ignores it")
 
 
@@ -199,10 +204,10 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _partition_profile(dist, kind: str, i0: float) -> np.ndarray:
-    weights = partition_sizes(dist)
-    if kind == "proportional":
-        weights *= np.arange(1, dist.max_degree + 1)
+def _partition_profile(dist, i0: float) -> np.ndarray:
+    """Initial infectious counts Y_k(0), proportional to k*N_k and summing to
+    i0 times the population."""
+    weights = partition_sizes(dist) * np.arange(1, dist.max_degree + 1)
     return weights / weights.sum() * (i0 * dist.population)
 
 
@@ -214,33 +219,31 @@ def cmd_dde(args) -> int:
     rate = args.history_rate
     gap = None
 
-    if args.system == "homogeneous":
-        beta = effective_beta(params, DegreeStats.from_mu_cv(args.mu, args.cv))
-        hist = exponential_history([1.0 - args.i0, args.i0, 0.0], rate)
-        traj = integrate_homogeneous(params, beta, hist, args.horizon, args.dt)
-        fit = estimate_growth_rate(traj, "i", window)
-        traj.to_csv(args.out)
-    elif args.system == "reduced":
-        if args.dist is not None:
-            stats = compute_stats(load_distribution(args.dist))
+    if args.system != "partitioned":
+        _refuse(args, f"--system {args.system}", "--dynamic", "--paired")
+        stats = (compute_stats(load_distribution(args.dist)) if args.dist is not None
+                 else DegreeStats.from_mu_cv(args.mu, args.cv))
+        beta_h = effective_beta(params, stats)
+        if args.system == "homogeneous":
+            traj = integrate_homogeneous(params, beta_h,
+                                         History([1.0 - args.i0, args.i0, 0.0], rate),
+                                         args.horizon, args.dt)
+            fit = estimate_growth_rate(traj, "i", window)
         else:
-            stats = DegreeStats.from_mu_cv(args.mu, args.cv)
-        lam0 = args.lambda0 if args.lambda0 is not None \
-            else effective_beta(params, stats) * args.i0
-        traj = integrate_reduced(params, stats, exponential_history([args.i0, lam0], rate),
-                                 args.horizon, args.dt)
-        # lambda evolves autonomously, so its slope is exactly the dominant
-        # characteristic rate; i also carries a decaying recovery mode
-        fit = estimate_growth_rate(traj, "lambda", window)
+            traj = integrate_reduced(params, stats, History([args.i0, beta_h * args.i0], rate),
+                                     args.horizon, args.dt)
+            # lambda evolves autonomously, so its slope is exactly the dominant
+            # characteristic rate; i also carries a decaying recovery mode
+            fit = estimate_growth_rate(traj, "lambda", window)
         traj.to_csv(args.out)
     else:
         if args.dist is None:
             raise ModelError("--system partitioned requires --dist")
         dist = load_distribution(args.dist)
-        y0 = _partition_profile(dist, args.seed_profile, args.i0)
+        y0 = _partition_profile(dist, args.i0)
         # the dynamic state is [X_1..X_n, Y_1..Y_n], with X_k(0) = N_k - Y_k(0)
         state0 = np.concatenate((partition_sizes(dist) - y0, y0)) if args.dynamic else y0
-        traj = integrate_partitioned(params, dist, exponential_history(state0, rate),
+        traj = integrate_partitioned(params, dist, History(state0, rate),
                                      args.horizon, args.dt, dynamic_susceptibles=args.dynamic)
         agg = infectious_fraction(traj, dist)
         fit = estimate_growth_rate(traj, agg, window)
@@ -337,16 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_dde.add_argument("--mu", type=float, default=4.0,
                        help="mean degree; without --dist the mixing rate is rho*mu*(1 + cv^2)")
     p_dde.add_argument("--cv", type=float, default=0.0)
-    p_dde.add_argument("--dist", help="degree distribution file (partitioned/reduced)")
+    p_dde.add_argument("--dist", help="degree distribution file; sets the mixing rate in "
+                                      "place of --mu/--cv, and partitioned requires it")
     p_dde.add_argument("--i0", type=float, default=1e-5,
                        help="initial infectious proportion")
-    p_dde.add_argument("--lambda0", type=float,
-                       help="initial force of infection (reduced; default rho*mu*h*i0)")
-    p_dde.add_argument("--seed-profile", choices=("proportional", "uniform"),
-                       default="proportional",
-                       help="partition seeding: proportional to k*N_k or to N_k")
     p_dde.add_argument("--dynamic", action="store_true",
-                       help="evolve susceptibles instead of freezing them")
+                       help="partitioned: evolve susceptibles instead of freezing them")
     p_dde.add_argument("--paired", action="store_true",
                        help="partitioned: also run the reduced system and report the gap")
     p_dde.add_argument("--history-rate", type=float, default=0.0,
@@ -359,8 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dde.set_defaults(func=cmd_dde)
 
     p_net = sub.add_parser("netsim", help="seeded epidemic ensemble on random graphs")
-    p_net.add_argument("--graph", choices=("config-poisson", "barabasi-albert",
-                                           "watts-strogatz"), required=True)
+    p_net.add_argument("--graph", choices=GRAPH_KINDS, required=True)
     p_net.add_argument("--nodes", type=int, default=100_000, help="default: desk scale, 1e5")
     p_net.add_argument("--mu", type=float, default=4.0)
     p_net.add_argument("--ws-rewire", type=float, default=0.1)
@@ -368,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--gamma", type=float, default=0.1)
     p_net.add_argument("--alpha", type=float, default=0.0)
     p_net.add_argument("--t-delay", type=float, default=0.0)
-    p_net.add_argument("--seeding", choices=("uniform", "degree"), default="uniform")
+    p_net.add_argument("--seeding", choices=SEEDING_MODES, default="uniform")
     p_net.add_argument("--seed-count", type=int, default=10)
     p_net.add_argument("--runs", type=int, default=100, help="default: desk scale, 100")
     p_net.add_argument("--days", type=int, default=30)

@@ -85,11 +85,7 @@ class History:
 
 
 def constant_history(y0) -> History:
-    return History(np.asarray(y0, dtype=np.float64), 0.0)
-
-
-def exponential_history(y0, rate: float) -> History:
-    return History(np.asarray(y0, dtype=np.float64), float(rate))
+    return History(y0)
 
 
 @dataclass(frozen=True)

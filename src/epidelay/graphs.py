@@ -86,11 +86,10 @@ class ContactGraph:
 
     def write_edge_list(self, path) -> None:
         """Plain `u v` text rows, each undirected edge once (u < v)."""
+        u = np.repeat(np.arange(self.node_count), self.degrees)
+        keep = self.indices > u
         with open(path, "w", encoding="utf-8") as fh:
-            for u in range(self.node_count):
-                row = self.indices[self.indptr[u]: self.indptr[u + 1]]
-                for v in row[row > u]:
-                    fh.write(f"{u} {v}\n")
+            fh.writelines(map("{} {}\n".format, u[keep].tolist(), self.indices[keep].tolist()))
 
 
 def sorted_unique(a: np.ndarray) -> np.ndarray:

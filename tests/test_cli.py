@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from epidelay.cli import main
-from epidelay.dde import exponential_history, integrate_reduced
-from epidelay.params import DegreeStats, EpidemicParams, effective_beta
+from epidelay.dde import History, integrate_homogeneous, integrate_reduced
+from epidelay.params import (DegreeStats, EpidemicParams, compute_stats, effective_beta,
+                             load_distribution)
 
 
 def run_cli(*argv) -> int:
@@ -80,6 +81,8 @@ class TestClassify:
         # flags the chosen mode would ignore
         (["--rho", "0.1", "--cv", "5"], "--cv"), (["--rho", "0.1", "--r0", "3"], "--r0"),
         (["--r0", "3", "--rho", "0.1"], "--rho"),
+        # a given 0 is present, although 0 == False
+        (["--rho", "0.1", "--cv", "0"], "--cv"), (["--r0", "3", "--rho", "0"], "--rho"),
     ])
     def test_invalid_inputs(self, argv, name, tmp_path, capsys):
         if argv[0] == "--rho":
@@ -238,7 +241,7 @@ class TestDde:
         i0 = 1e-5
         ref = tmp_path / "ref.csv"
         integrate_reduced(params, stats,
-                          exponential_history([i0, effective_beta(params, stats) * i0], 0.05),
+                          History([i0, effective_beta(params, stats) * i0], 0.05),
                           100.0, 0.01).to_csv(ref)
         assert out.read_bytes() == ref.read_bytes()
         flat = tmp_path / "flat.csv"
@@ -252,6 +255,37 @@ class TestDde:
         assert run_cli("dde", "--system", system, "--t-delay", "1", *bad,
                        "--out", str(tmp_path / "x.csv")) == 1
         assert capsys.readouterr().err.startswith("error: history")
+
+    @pytest.mark.parametrize("system", ["homogeneous", "reduced"])
+    def test_dist_sets_mixing_rate(self, system, tmp_path):
+        # --dist replaces --mu/--cv in every system, through the same beta_h
+        dist = tmp_path / "dist.csv"
+        dist.write_text("k,count\n2,600\n5,400\n", encoding="utf-8")
+        out = tmp_path / "cli.csv"
+        assert run_cli("dde", "--system", system, "--dist", str(dist), "--alpha", "0.5",
+                       "--t-delay", "1", "--history-rate", "0.05", "--horizon", "40",
+                       "--fit-window", "10,40", "--out", str(out)) == 0
+        params = EpidemicParams(rho=0.075, gamma=0.1, alpha=0.5, t_delay=1.0)
+        stats = compute_stats(load_distribution(dist))
+        beta_h = effective_beta(params, stats)
+        i0 = 1e-5
+        if system == "homogeneous":
+            traj = integrate_homogeneous(params, beta_h, History([1.0 - i0, i0, 0.0], 0.05),
+                                         40.0, 0.01)
+        else:
+            traj = integrate_reduced(params, stats, History([i0, beta_h * i0], 0.05), 40.0, 0.01)
+        ref = tmp_path / "ref.csv"
+        traj.to_csv(ref)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("system", ["homogeneous", "reduced"])
+    @pytest.mark.parametrize("flag", ["--dynamic", "--paired"])
+    def test_partitioned_flags_refused(self, system, flag, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli("dde", "--system", system, flag, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {flag} must be left out with --system {system}")
+        assert not out.exists()
 
     def test_partitioned_requires_dist(self, tmp_path, capsys):
         assert run_cli("dde", "--system", "partitioned",

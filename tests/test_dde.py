@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from epidelay.dde import (
+    History,
     IntegrationError,
     Trajectory,
     _make_times,
@@ -12,7 +13,6 @@ from epidelay.dde import (
     consistent_reduced_history,
     default_fit_window,
     estimate_growth_rate,
-    exponential_history,
     infectious_fraction,
     integrate_homogeneous,
     integrate_partitioned,
@@ -153,12 +153,12 @@ class TestHistory:
                                          ([0.9, 0.1], -math.inf)])
     def test_non_finite_rejected(self, y0, rate):
         with pytest.raises(ModelError, match="history"):
-            exponential_history(y0, rate)
+            History(y0, rate)
 
     def test_rate_zero_is_constant(self):
         y0 = [0.3, 1.0 / 7.0]
         for theta in (-2.5, -1e-9, 0.0):
-            assert np.array_equal(exponential_history(y0, 0.0)(theta), constant_history(y0)(theta))
+            assert np.array_equal(History(y0, 0.0)(theta), constant_history(y0)(theta))
 
 
 # Reference stepper: the scalar loops the kernels replaced, one component at a
@@ -294,7 +294,7 @@ def oracle_case(system, tau, rate, rho=0.05, cap=1e12, t_end=30.003, dt=0.05):
     scale = p.rho / float(np.sum(np.arange(1, n + 1) * n_k))
     alphas = p.alpha * np.arange(1, n + 1) / n
     if system == "homogeneous":
-        hist = exponential_history([1.0 - 1e-4, 1e-4, 0.0], rate)
+        hist = History([1.0 - 1e-4, 1e-4, 0.0], rate)
         code, coeffs = SYS_HOMOGENEOUS, [0.3, p.gamma, iso]
 
         def run():
@@ -302,13 +302,13 @@ def oracle_case(system, tau, rate, rho=0.05, cap=1e12, t_end=30.003, dt=0.05):
     elif system == "reduced":
         stats = DegreeStats.from_mu_cv(4.0, 0.5)
         beta_h = effective_beta(p, stats)
-        hist = exponential_history([1e-5, beta_h * 1e-5], rate)
+        hist = History([1e-5, beta_h * 1e-5], rate)
         code, coeffs = SYS_REDUCED, [stats.mu, beta_h, p.gamma, iso]
 
         def run():
             return integrate_reduced(p, stats, hist, t_end, dt, cap=cap)
     elif system == "dynamic":
-        hist = exponential_history(np.concatenate((n_k - y0, y0)), rate)
+        hist = History(np.concatenate((n_k - y0, y0)), rate)
         code = SYS_PARTITIONED_DYNAMIC
         coeffs = np.concatenate(([p.gamma, scale], np.full(n, iso)))
 
@@ -316,7 +316,7 @@ def oracle_case(system, tau, rate, rho=0.05, cap=1e12, t_end=30.003, dt=0.05):
             return integrate_partitioned(p, dist, hist, t_end, dt, dynamic_susceptibles=True,
                                          cap=cap)
     else:
-        hist = exponential_history(y0, rate)
+        hist = History(y0, rate)
         by_degree = alphas if system == "alpha-by-degree" else None
         isos = alphas * math.exp(-p.gamma * tau) if by_degree is not None else np.full(n, iso)
         code = SYS_PARTITIONED_FROZEN
@@ -389,7 +389,7 @@ class TestDenseOutput:
 
     def test_history_returned_exactly_before_start(self):
         y0 = np.array([0.9, 0.1, 0.0])
-        hist = exponential_history(y0, 0.3)
+        hist = History(y0, 0.3)
         p = EpidemicParams(rho=0.0, gamma=0.1, alpha=0.5, t_delay=1.0)
         traj = integrate_homogeneous(p, 0.3, hist, 5.0, 0.05)
         for theta in (-1.0, -0.37, 0.0):
@@ -460,7 +460,7 @@ class TestReducedSystem:
         beta_h = 0.3
         root = rightmost_root(model_char_params(beta_h, p)).real
         y0 = np.array([1e-5, beta_h * 1e-5])
-        traj = integrate_reduced(p, stats, exponential_history(y0, root), 30.0, 0.01)
+        traj = integrate_reduced(p, stats, History(y0, root), 30.0, 0.01)
         fit = estimate_growth_rate(traj, "lambda", (5.0, 30.0))
         assert fit.rate == pytest.approx(root, rel=1e-3)
 

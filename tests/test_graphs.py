@@ -130,6 +130,15 @@ class TestValidation:
         dist = g.degree_distribution()
         assert dist.population == 5000
 
+    @pytest.mark.parametrize("kind", ["config-poisson", "barabasi-albert", "watts-strogatz"])
+    def test_edge_list_matches_row_loop(self, kind, tmp_path):
+        g = generate_graph(kind, 2000, 4.0, 8)
+        path = tmp_path / "edges.txt"
+        g.write_edge_list(path)
+        ref = tmp_path / "ref.txt"
+        _ref_write_edge_list(g, ref)
+        assert path.read_bytes() == ref.read_bytes()
+
     def test_edge_list_export(self, tmp_path):
         g = generate_graph("watts-strogatz", 200, 4.0, 5, ws_rewire=0.0)
         path = tmp_path / "edges.txt"
@@ -140,7 +149,15 @@ class TestValidation:
         assert v in g.neighbors(u)
 
 
-# --- reference: the sequential definitions the vectorised generators reproduce
+# --- reference: the sequential definitions the vectorised code reproduces
+
+
+def _ref_write_edge_list(g, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for u in range(g.node_count):
+            row = g.indices[g.indptr[u]: g.indptr[u + 1]]
+            for v in row[row > u]:
+                fh.write(f"{u} {v}\n")
 
 
 def _ref_dedupe(n, u, v):
