@@ -10,7 +10,8 @@ Subcommands:
   netsim     seeded epidemic ensembles on generated random graphs
 
 Every command is deterministic given its flags and seed; reruns produce
-byte-identical CSVs. classify, bound and dde reject a flag their mode ignores.
+byte-identical CSVs. Every flag a command accepts is read: classify, bound
+and dde reject a flag their mode would ignore.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ from .stability import (
 
 # Largest lo:hi:step grid a sweep may ask for; far above any plotted curve.
 MAX_RANGE_POINTS = 1_000_000
+
+# The paper's marked cv abscissas, added to every --cv-range sweep.
+CV_MARKERS = (0.37, 0.67)
 
 
 def _parse_range(spec: str) -> np.ndarray:
@@ -138,8 +142,7 @@ def cmd_bound(args) -> int:
     else:
         if args.r0 is None:
             raise ModelError("--cv-range requires --r0")
-        xs = np.unique(np.concatenate([_parse_range(args.cv_range),
-                                       np.asarray(_parse_floats(args.markers))])).tolist()
+        xs = np.unique(np.concatenate([_parse_range(args.cv_range), CV_MARKERS])).tolist()
         r0s = [_scaled_r0(args.r0, x) for x in xs]
     rows = []
     for alpha in alphas:
@@ -212,6 +215,8 @@ def _partition_profile(dist, i0: float) -> np.ndarray:
 
 
 def cmd_dde(args) -> int:
+    if not 0.0 < args.i0 <= 1.0:
+        raise ModelError(f"history i0 must be in (0, 1], got {args.i0}")
     params = EpidemicParams(rho=args.rho, gamma=args.gamma, alpha=args.alpha,
                             t_delay=args.t_delay)
     window = (_parse_window(args.fit_window) if args.fit_window
@@ -221,8 +226,14 @@ def cmd_dde(args) -> int:
 
     if args.system != "partitioned":
         _refuse(args, f"--system {args.system}", "--dynamic", "--paired")
-        stats = (compute_stats(load_distribution(args.dist)) if args.dist is not None
-                 else DegreeStats.from_mu_cv(args.mu, args.cv))
+        if args.dist is not None:
+            _refuse(args, "--dist", "--mu", "--cv")
+            stats = compute_stats(load_distribution(args.dist))
+        else:
+            # resolved into args, so the sidecar records the values used
+            args.mu = 4.0 if args.mu is None else args.mu
+            args.cv = 0.0 if args.cv is None else args.cv
+            stats = DegreeStats.from_mu_cv(args.mu, args.cv)
         beta_h = effective_beta(params, stats)
         if args.system == "homogeneous":
             traj = integrate_homogeneous(params, beta_h,
@@ -237,6 +248,7 @@ def cmd_dde(args) -> int:
             fit = estimate_growth_rate(traj, "lambda", window)
         traj.to_csv(args.out)
     else:
+        _refuse(args, "--system partitioned", "--mu", "--cv")
         if args.dist is None:
             raise ModelError("--system partitioned requires --dist")
         dist = load_distribution(args.dist)
@@ -275,8 +287,7 @@ def cmd_dde(args) -> int:
 def cmd_netsim(args) -> int:
     params = EpidemicParams(rho=args.rho, gamma=args.gamma, alpha=args.alpha,
                             t_delay=args.t_delay)
-    spec = GraphSpec(kind=args.graph, node_count=args.nodes, mean_degree=args.mu,
-                     ws_rewire=args.ws_rewire)
+    spec = GraphSpec(kind=args.graph, node_count=args.nodes, mean_degree=args.mu)
     stats = run_ensemble(spec, params, seeding=args.seeding, runs=args.runs,
                          days=args.days, seed_count=args.seed_count,
                          base_seed=args.seed, reuse_graph=args.reuse_graph,
@@ -306,13 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="sweep the delay stability boundary to CSV")
     p_bound.add_argument("--r0-range", help="R0 sweep as lo:hi:step")
-    p_bound.add_argument("--cv-range", help="coefficient-of-variation sweep as lo:hi:step")
+    p_bound.add_argument("--cv-range", help="coefficient-of-variation sweep as lo:hi:step; "
+                                            "cv 0.37 and 0.67 are always added")
     p_bound.add_argument("--r0", type=float, help="homogeneous-equivalent R0 (cv mode)")
     p_bound.add_argument("--alpha", default="0.7,0.8,0.9,1.0",
                          help="comma-separated isolation fractions")
     p_bound.add_argument("--gamma", type=float, default=0.1)
-    p_bound.add_argument("--markers", default="0.37,0.67",
-                         help="extra cv grid points to include (cv mode)")
     p_bound.add_argument("--out", required=True)
     p_bound.set_defaults(func=cmd_bound)
 
@@ -337,9 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_dde.add_argument("--gamma", type=float, default=0.1)
     p_dde.add_argument("--alpha", type=float, default=0.0)
     p_dde.add_argument("--t-delay", type=float, default=0.0)
-    p_dde.add_argument("--mu", type=float, default=4.0,
-                       help="mean degree; without --dist the mixing rate is rho*mu*(1 + cv^2)")
-    p_dde.add_argument("--cv", type=float, default=0.0)
+    p_dde.add_argument("--mu", type=float,
+                       help="mean degree (default 4); the mixing rate is rho*mu*(1 + cv^2). "
+                            "homogeneous and reduced without --dist only")
+    p_dde.add_argument("--cv", type=float,
+                       help="degree coefficient of variation (default 0); "
+                            "homogeneous and reduced without --dist only")
     p_dde.add_argument("--dist", help="degree distribution file; sets the mixing rate in "
                                       "place of --mu/--cv, and partitioned requires it")
     p_dde.add_argument("--i0", type=float, default=1e-5,
@@ -361,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--graph", choices=GRAPH_KINDS, required=True)
     p_net.add_argument("--nodes", type=int, default=100_000, help="default: desk scale, 1e5")
     p_net.add_argument("--mu", type=float, default=4.0)
-    p_net.add_argument("--ws-rewire", type=float, default=0.1)
     p_net.add_argument("--rho", type=float, default=0.2)
     p_net.add_argument("--gamma", type=float, default=0.1)
     p_net.add_argument("--alpha", type=float, default=0.0)

@@ -350,7 +350,13 @@ def integrate_reduced(
 
 
 def partition_sizes(dist: DegreeDistribution) -> np.ndarray:
-    """Partition sizes N_k for degrees k = 1..max_degree (degree 0 left out)."""
+    """Partition sizes N_k for degrees k = 1..max_degree (degree 0 left out).
+    The partitioned state has at least max_degree components on a grid of at
+    least two times, so a max degree above MAX_GRID_VALUES // 2 is rejected
+    here, before the first array of the state's length is allocated."""
+    if dist.max_degree > MAX_GRID_VALUES // 2:
+        raise ModelError(f"max degree {dist.max_degree} exceeds {MAX_GRID_VALUES // 2}; "
+                         f"a partitioned grid would hold more than {MAX_GRID_VALUES} values")
     n_k = np.zeros(dist.max_degree, dtype=np.float64)
     for k, cnt in dist.items():
         if k >= 1:

@@ -8,7 +8,7 @@ ensembles of 1e5..1e6-node graphs:
   barabasi-albert:  preferential attachment with m = round(mu/2) edges per
                     new node
   watts-strogatz:   ring lattice of even degree k = round(mu) with each
-                    edge rewired independently with a fixed probability
+                    edge rewired independently with probability 0.1 (ws_rewire)
 
 Generated graphs are undirected and simple; the empirical mean degree must
 land within 2% of the request or generation fails. Each generator returns

@@ -131,12 +131,19 @@ def compute_stats(
 
     Sums are accumulated with math.fsum so the moments do not drift for large
     populations. h follows the requested mode; in mixed-population mode
-    h = c_v^2 + 1 >= 1 with equality iff sigma = 0.
+    h = c_v^2 + 1 >= 1 with equality iff sigma = 0. Moments beyond the
+    float range are rejected.
     """
     n_total = sum(dist.counts.values())
-    s1 = math.fsum(k * n_k for k, n_k in dist.items())
-    s2 = math.fsum(k * k * n_k for k, n_k in dist.items())
-    s3 = math.fsum(k**3 * n_k for k, n_k in dist.items())
+    try:
+        s1 = math.fsum(k * n_k for k, n_k in dist.items())
+        s2 = math.fsum(k * k * n_k for k, n_k in dist.items())
+        s3 = math.fsum(k**3 * n_k for k, n_k in dist.items())
+    except OverflowError:
+        # fsum raises on a term or partial sum beyond the float range, so
+        # every moment that returns is finite
+        raise ModelError("degree moments are not finite as floats; "
+                         "the degrees are too large") from None
     mu = s1 / n_total
     if mu <= 0.0:
         raise ModelError("mean degree is zero; transmission impossible")

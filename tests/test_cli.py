@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import epidelay
 from epidelay.cli import main
 from epidelay.dde import History, integrate_homogeneous, integrate_reduced
 from epidelay.params import (DegreeStats, EpidemicParams, compute_stats, effective_beta,
@@ -53,6 +58,12 @@ class TestClassify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "line 3" in err
 
+    def test_degrees_beyond_float_range(self, tmp_path, capsys):
+        dist = tmp_path / "huge.csv"
+        dist.write_text(f"k,count\n1,5\n{10**120},1\n", encoding="utf-8")
+        assert run_cli("classify", "--dist", str(dist), "--rho", "0.1", "--alpha", "0.8") == 1
+        assert capsys.readouterr().err.startswith("error: degree moments are not finite")
+
     def test_missing_inputs(self, capsys):
         assert run_cli("classify", "--alpha", "0.8") == 1
         assert capsys.readouterr().err.startswith("error:")
@@ -65,7 +76,7 @@ class TestClassify:
                        "--alpha", alpha) == 0
         fields = parse_machine_line(capsys.readouterr().out.splitlines()[-1])
         out = tmp_path / "bound.csv"
-        assert run_cli("bound", "--cv-range", "0:1:0.5", "--markers", cv, "--r0", r0,
+        assert run_cli("bound", "--cv-range", f"{cv}:{cv}:1", "--r0", r0,
                        "--gamma", gamma, "--alpha", alpha, "--out", str(out)) == 0
         row = [ln.split(",") for ln in out.read_text().splitlines()[1:]
                if float(ln.split(",")[0]) == float(cv)]
@@ -287,6 +298,55 @@ class TestDde:
             f"error: {flag} must be left out with --system {system}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [["--mu", "4"], ["--cv", "0"]])
+    @pytest.mark.parametrize("system", ["homogeneous", "reduced", "partitioned"])
+    def test_mu_cv_refused_with_dist(self, system, flag, tmp_path, capsys):
+        # --dist replaces --mu/--cv; a given --cv 0, which equals False, is
+        # refused too
+        dist = tmp_path / "dist.csv"
+        dist.write_text("k,count\n2,600\n5,400\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert run_cli("dde", "--system", system, "--dist", str(dist), *flag,
+                       "--out", str(out)) == 1
+        mode = "--system partitioned" if system == "partitioned" else "--dist"
+        assert capsys.readouterr().err.startswith(
+            f"error: {flag[0]} must be left out with {mode}")
+        assert not out.exists()
+
+    def test_sidecar_records_mu_cv_only_when_read(self, tmp_path):
+        out = tmp_path / "x.csv"
+        argv = ["dde", "--system", "reduced", "--horizon", "30", "--fit-window", "10,30"]
+        assert run_cli(*argv, "--out", str(out)) == 0
+        meta = (tmp_path / "x.csv.meta").read_text().splitlines()
+        assert "arg_mu=4.0" in meta and "arg_cv=0.0" in meta
+        dist = tmp_path / "dist.csv"
+        dist.write_text("k,count\n2,600\n5,400\n", encoding="utf-8")
+        for system in ("reduced", "partitioned"):
+            argv[2] = system
+            assert run_cli(*argv, "--dist", str(dist), "--out", str(out)) == 0
+            meta = (tmp_path / "x.csv.meta").read_text()
+            assert "arg_mu=" not in meta and "arg_cv=" not in meta
+
+    @pytest.mark.parametrize("i0", ["0", "1.5"])
+    @pytest.mark.parametrize("system", ["homogeneous", "reduced", "partitioned"])
+    def test_i0_outside_unit_interval(self, system, i0, tmp_path, capsys):
+        dist = tmp_path / "dist.csv"
+        dist.write_text("k,count\n2,600\n5,400\n", encoding="utf-8")
+        extra = ["--dist", str(dist)] if system == "partitioned" else []
+        out = tmp_path / "x.csv"
+        assert run_cli("dde", "--system", system, *extra, f"--i0={i0}", "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: history i0 must be in (0, 1]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--dynamic"], ["--paired"]])
+    def test_partitioned_degree_too_large(self, extra, tmp_path, capsys):
+        # rejected before a state array of 1e15 entries is allocated
+        dist = tmp_path / "huge.csv"
+        dist.write_text(f"k,count\n1,5\n{10**15},1\n", encoding="utf-8")
+        assert run_cli("dde", "--system", "partitioned", "--dist", str(dist), *extra,
+                       "--out", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err.startswith(f"error: max degree {10**15} exceeds")
+
     def test_partitioned_requires_dist(self, tmp_path, capsys):
         assert run_cli("dde", "--system", "partitioned",
                        "--out", str(tmp_path / "x.csv")) == 1
@@ -345,3 +405,48 @@ class TestNetsim:
         assert run_cli("netsim", "--graph", graph, "--nodes", "500", "--runs", "2",
                        "--days", "3", *bad, "--out", str(tmp_path / "runs.csv")) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--cv-range", "0:1:0.5", "--r0", "3", "--markers", "0.5"],
+    ["netsim", "--graph", "watts-strogatz", "--nodes", "500", "--ws-rewire", "0.2"],
+])
+def test_deleted_flags_are_usage_errors(argv, tmp_path, capsys):
+    # cv sweeps always add 0.37 and 0.67; Watts-Strogatz always rewires at 0.1
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(tmp_path / "x.csv"))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_runtime_needs_only_numpy(tmp_path):
+    # scipy and hypothesis are test extras and numba is gone; each command
+    # must run in an interpreter where none of them can be imported
+    script = textwrap.dedent("""
+        import sys
+        for name in ("scipy", "hypothesis", "numba"):
+            sys.modules[name] = None  # makes `import name` raise ImportError
+        from epidelay.cli import main
+        dist = "dist.csv"
+        with open(dist, "w") as fh:
+            fh.write("k,count\\n2,600\\n5,400\\n")
+        commands = [
+            ["bound", "--cv-range", "0:1:0.5", "--r0", "3", "--out", "bound.csv"],
+            ["classify", "--dist", dist, "--rho", "0.1", "--alpha", "0.8"],
+            ["dde", "--system", "partitioned", "--dist", dist, "--paired",
+             "--horizon", "20", "--fit-window", "5,20", "--out", "dde.csv"],
+            ["netsim", "--graph", "watts-strogatz", "--nodes", "300", "--runs", "2",
+             "--days", "3", "--out", "runs.csv"],
+        ]
+        for argv in commands:
+            assert main(argv) == 0, argv
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(epidelay.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "bound.csv", "dde.csv", "dist.csv", "runs.csv", "runs_aggregate.csv"]
