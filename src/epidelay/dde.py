@@ -371,33 +371,25 @@ def integrate_partitioned(
     t_end: float,
     dt: float = 0.01,
     dynamic_susceptibles: bool = False,
-    alpha_by_degree=None,
+    degree_proportional: bool = False,
     cap: float = 1e12,
 ) -> Trajectory:
     """Integrate the per-degree infectious counts Y_k, k = 1..max_degree.
 
     Frozen mode (default) pins susceptibles at the partition sizes N_k,
     matching the early-epidemic linearization; dynamic mode also evolves
-    X_k. alpha_by_degree optionally overrides the common isolation fraction
-    with one value per degree 1..n (e.g. alpha*k/n for detection effort
-    proportional to contact count). Degree-0 individuals are inert and are
-    not part of the state.
+    X_k. Every degree isolates the fraction params.alpha, or with
+    degree_proportional alpha_k = alpha*k/n, n = max_degree (detection
+    effort proportional to contact count; stability.degree_proportional_alpha
+    gives its equivalent common fraction). Degree-0 individuals are inert
+    and are not part of the state.
     """
     n = dist.max_degree
-    if n < 1:
-        raise ModelError("partitioned system needs a positive maximum degree")
     tau = params.t_delay
     n_k = partition_sizes(dist)
     ks = np.arange(1, n + 1, dtype=np.float64)
     sum_k_n = float(np.sum(ks * n_k))
-    if alpha_by_degree is None:
-        alphas = np.full(n, params.alpha, dtype=np.float64)
-    else:
-        alphas = np.asarray(alpha_by_degree, dtype=np.float64)
-        if alphas.shape != (n,):
-            raise ModelError(f"alpha_by_degree must have one entry per degree 1..{n}")
-        if np.any((alphas < 0.0) | (alphas > 1.0)):
-            raise ModelError("alpha_by_degree entries must lie in [0, 1]")
+    alphas = params.alpha * ks / n if degree_proportional else np.full(n, params.alpha)
     gamma = params.gamma
     iso = alphas * math.exp(-gamma * tau)
     scale = params.rho / sum_k_n

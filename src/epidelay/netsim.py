@@ -43,6 +43,10 @@ SEEDING_MODES = ("uniform", "degree")
 # Day number of the seeded initial state; each step_day adds one.
 FIRST_DAY = 1
 
+# Most worker threads an ensemble may ask for. The pool starts one thread per
+# queued run up to its size, so a larger count is refused before it starts.
+MAX_THREADS = 256
+
 
 @dataclass(frozen=True)
 class GraphSpec:
@@ -322,15 +326,15 @@ def run_ensemble(
     """Run independent seeded epidemics and aggregate their daily metrics.
 
     By default each run regenerates its own graph realization; with
-    reuse_graph one realization (run-0 graph stream) is shared. Threads only
-    affect wall time, never results.
+    reuse_graph one realization (run-0 graph stream) is shared. Threads, at
+    most MAX_THREADS, only affect wall time, never results.
     """
     if runs < 1:
         raise ModelError(f"runs must be >= 1, got {runs}")
     if base_seed < 0:
         raise ModelError(f"base_seed must be >= 0, got {base_seed}")
-    if threads < 1:
-        raise ModelError(f"threads must be >= 1, got {threads}")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ModelError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
     shared = spec.build(np.random.SeedSequence(base_seed, spawn_key=(0, 0))) if reuse_graph else None
 
     def one_run(run: int) -> RunResult:

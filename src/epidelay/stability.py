@@ -24,7 +24,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .params import DegreeStats, EpidemicParams, ModelError, effective_beta
+from .params import (DegreeDistribution, DegreeStats, EpidemicParams, ModelError, compute_stats,
+                     effective_beta)
 
 # Branch point of the Lambert W function, -1/e, as the nearest double.
 _BRANCH_POINT = -math.exp(-1.0)
@@ -59,19 +60,28 @@ class CharacteristicParams:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Delay classification plus the rightmost root at the queried delay.
+    """Delay classification plus the characteristic equation at the queried
+    delay.
 
     t_max is +inf for UNCONDITIONALLY_STABLE, 0.0 for
     INFEASIBLE_AT_ZERO_DELAY and the positive delay bound for STABLE_UP_TO.
-    margin is Re(rightmost_root) at the configuration's own t_delay; the
-    queried configuration is asymptotically stable iff margin < 0 (a
-    marginal root on the imaginary axis counts as unstable).
+    The rightmost root of char_params is solved each time it is read, so a
+    sweep that writes only kind and t_max solves none. margin is its real
+    part; the queried configuration is asymptotically stable iff margin < 0
+    (a marginal root on the imaginary axis counts as unstable).
     """
 
     kind: VerdictKind
     t_max: float
-    rightmost_root: complex
-    margin: float
+    char_params: CharacteristicParams
+
+    @property
+    def rightmost_root(self) -> complex:
+        return rightmost_root(self.char_params)
+
+    @property
+    def margin(self) -> float:
+        return self.rightmost_root.real
 
     @property
     def is_stable(self) -> bool:
@@ -240,8 +250,7 @@ def _bound_for_mixing_rate(beta_h: float, params: EpidemicParams) -> StabilityVe
     else:
         kind = VerdictKind.STABLE_UP_TO
         t_max = math.log(al * beta_h / (beta_h - g)) / g
-    root = rightmost_root(model_char_params(beta_h, params))
-    return StabilityVerdict(kind=kind, t_max=t_max, rightmost_root=root, margin=root.real)
+    return StabilityVerdict(kind=kind, t_max=t_max, char_params=model_char_params(beta_h, params))
 
 
 def homogeneous_delay_bound(params: EpidemicParams, r0: float) -> StabilityVerdict:
@@ -282,21 +291,14 @@ def max_cv(r0: float, alpha: float) -> float | None:
     return math.sqrt(radicand)
 
 
-def degree_proportional_alpha(alpha: float, stats: DegreeStats, n: int) -> float:
+def degree_proportional_alpha(alpha: float, dist: DegreeDistribution) -> float:
     """Common isolation fraction equivalent to the degree-proportional
-    scheme alpha_k = alpha * k / n.
+    scheme alpha_k = alpha * k / n, n = dist.max_degree, that
+    integrate_partitioned(degree_proportional=True) integrates.
 
     Equating the per-partition isolation terms weighted by k^2 * N_k gives
     the factor <k^3> / (n * <k^2>) with <k^2> = sigma^2 + mu^2, so
-    alpha_eff = alpha * <k^3> / (n * (sigma^2 + mu^2)). Requires stats
-    carrying a census third moment.
+    alpha_eff = alpha * <k^3> / (n * (sigma^2 + mu^2)).
     """
-    if n <= 0:
-        raise ModelError(f"max degree n must be >= 1, got {n}")
-    if math.isnan(stats.k3):
-        raise ModelError("degree_proportional_alpha needs census stats with a third moment")
-    k2 = stats.sigma**2 + stats.mu**2
-    denom = n * k2
-    if denom <= 0.0:
-        raise ModelError("zero second moment; no transmitting partition")
-    return alpha * stats.k3 / denom
+    stats = compute_stats(dist)
+    return alpha * stats.k3 / (dist.max_degree * (stats.sigma**2 + stats.mu**2))

@@ -282,9 +282,8 @@ def test_criterion_9_degree_proportional_isolation_factor():
         y0[k - 1] = 1e-4 * cnt
 
     p = EpidemicParams(rho=rho, gamma=gamma, alpha=alpha, t_delay=tau)
-    alphas_k = alpha * np.arange(1, n + 1) / n
     part = integrate_partitioned(p, dist, constant_history(y0), 50.0, 0.01,
-                                 alpha_by_degree=alphas_k)
+                                 degree_proportional=True)
     agg = infectious_fraction(part, dist)
     mask = (part.times >= 25.0) & (part.times <= 50.0)
     rate_partitioned = float(np.polyfit(part.times[mask], np.log(agg[mask]), 1)[0])
@@ -295,7 +294,7 @@ def test_criterion_9_degree_proportional_isolation_factor():
                                 50.0, 0.01)
         return estimate_growth_rate(red, "i", (25.0, 50.0)).rate
 
-    alpha_derived = degree_proportional_alpha(alpha, stats, n)
+    alpha_derived = degree_proportional_alpha(alpha, dist)
     rate_derived = reduced_rate(alpha_derived)
     rel_derived = abs(rate_partitioned - rate_derived) / abs(rate_partitioned)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import epidelay
+from epidelay import stability
 from epidelay.cli import main
 from epidelay.dde import History, integrate_homogeneous, integrate_reduced
 from epidelay.params import (DegreeStats, EpidemicParams, compute_stats, effective_beta,
@@ -165,6 +166,20 @@ class TestBound:
         assert run_cli("bound", "--r0-range", "1:2:0.5", "--r0", "9",
                        "--out", str(tmp_path / "x.csv")) == 1
         assert capsys.readouterr().err.startswith("error: --r0 must be")
+
+    @pytest.mark.parametrize("sweep", [["--r0-range", "0.5:6:0.25"],
+                                       ["--cv-range", "0:1.5:0.1", "--r0", "3"]])
+    def test_solves_no_root(self, sweep, tmp_path, monkeypatch):
+        # the CSV holds the verdict kind and t_max, neither of which needs a root
+        args = ["bound", *sweep, "--alpha", "0.5,0.8,1"]
+        assert run_cli(*args, "--out", str(tmp_path / "a.csv")) == 0
+
+        def no_root(cp):
+            raise AssertionError(f"rightmost root solved for {cp}")
+
+        monkeypatch.setattr(stability, "rightmost_root", no_root)
+        assert run_cli(*args, "--out", str(tmp_path / "b.csv")) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -376,6 +391,15 @@ class TestNetsim:
         assert run_cli(*base, "--threads", "1", "--out", str(out1)) == 0
         assert run_cli(*base, "--threads", "4", "--out", str(out4)) == 0
         assert out1.read_bytes() == out4.read_bytes()
+
+    def test_thread_count_beyond_pool_limit(self, tmp_path, capsys):
+        # netsim.MAX_THREADS is 256; one run starts at most one thread either way
+        base = ["netsim", "--graph", "config-poisson", "--nodes", "500", "--runs", "1",
+                "--days", "3", "--out", str(tmp_path / "runs.csv")]
+        assert run_cli(*base, "--threads", "257") == 1
+        assert capsys.readouterr().err.startswith("error: threads must be in [1, 256]")
+        assert not (tmp_path / "runs.csv").exists()
+        assert run_cli(*base, "--threads", "256") == 0
 
     def test_default_aggregate_path_in_dotted_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

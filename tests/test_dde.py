@@ -317,14 +317,14 @@ def oracle_case(system, tau, rate, rho=0.05, cap=1e12, t_end=30.003, dt=0.05):
                                          cap=cap)
     else:
         hist = History(y0, rate)
-        by_degree = alphas if system == "alpha-by-degree" else None
-        isos = alphas * math.exp(-p.gamma * tau) if by_degree is not None else np.full(n, iso)
+        proportional = system == "alpha-by-degree"
+        isos = alphas * math.exp(-p.gamma * tau) if proportional else np.full(n, iso)
         code = SYS_PARTITIONED_FROZEN
         coeffs = np.concatenate(([p.gamma, scale], isos, n_k))
 
         def run():
-            return integrate_partitioned(p, dist, hist, t_end, dt, alpha_by_degree=by_degree,
-                                         cap=cap)
+            return integrate_partitioned(p, dist, hist, t_end, dt,
+                                         degree_proportional=proportional, cap=cap)
 
     times = _make_times(t_end, dt)
     states = np.empty((len(times), len(hist.y0)))
@@ -517,13 +517,9 @@ class TestPartitionedSystem:
         dist = DegreeDistribution({1: 500, 7: 500})
         p = EpidemicParams(rho=0.075, gamma=0.1, alpha=0.7, t_delay=1.0)
         y0 = np.array([5.0, 0, 0, 0, 0, 0, 5.0])
-        alphas = 0.7 * np.arange(1, 8) / 7.0
         traj = integrate_partitioned(p, dist, constant_history(y0), 10.0, 0.01,
-                                     alpha_by_degree=alphas)
+                                     degree_proportional=True)
         assert np.all(np.isfinite(traj.states))
-        with pytest.raises(ModelError):
-            integrate_partitioned(p, dist, constant_history(y0), 10.0, 0.01,
-                                  alpha_by_degree=np.array([0.5, 0.5]))
 
 
 class TestConsistentReducedHistory:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from epidelay.params import (
     DegreeStats,
     EpidemicParams,
     ModelError,
-    compute_stats,
     effective_beta,
     reproduction_numbers,
 )
@@ -246,18 +246,36 @@ class TestRightmostRoot:
 
 class TestDegreeProportionalAlpha:
     def test_degenerate_collapses(self):
-        stats = compute_stats(DegreeDistribution({5: 1000}))
-        assert degree_proportional_alpha(0.7, stats, 5) == pytest.approx(0.7, rel=1e-12)
+        dist = DegreeDistribution({5: 1000})
+        assert degree_proportional_alpha(0.7, dist) == pytest.approx(0.7, rel=1e-12)
 
     def test_two_point_reference(self):
-        stats = compute_stats(DegreeDistribution({1: 500, 7: 500}))
+        dist = DegreeDistribution({1: 500, 7: 500})
         # <k^3> = 172, <k^2> = 25, n = 7 -> 0.7 * 172/175
-        assert degree_proportional_alpha(0.7, stats, 7) == pytest.approx(0.688, abs=1e-12)
+        assert degree_proportional_alpha(0.7, dist) == pytest.approx(0.688, abs=1e-12)
 
     def test_zero_alpha(self):
-        stats = compute_stats(DegreeDistribution({1: 500, 7: 500}))
-        assert degree_proportional_alpha(0.0, stats, 7) == 0.0
+        assert degree_proportional_alpha(0.0, DegreeDistribution({1: 500, 7: 500})) == 0.0
 
-    def test_synthetic_stats_rejected(self):
-        with pytest.raises(ModelError):
-            degree_proportional_alpha(0.5, DegreeStats.from_mu_cv(4.0, 0.5), 7)
+    def test_matches_exact_moment_ratio(self):
+        # alpha * sum k^3 N_k / (n * sum k^2 N_k) in exact rationals; a
+        # degree-0 partition adds to neither sum, and one degree gives alpha
+        def exact(alpha, counts):
+            ratio = Fraction(sum(k**3 * c for k, c in counts.items()),
+                             max(counts) * sum(k * k * c for k, c in counts.items()))
+            return float(Fraction(alpha) * ratio)
+
+        rng = np.random.default_rng(2026)
+        cases = [(0.7, {5: 1000}), (0.31, {12: 3}), (0.9, {0: 40, 1: 500, 7: 500})]
+        for _ in range(200):
+            degrees = rng.choice(np.arange(1, int(rng.choice([8, 60, 1000])) + 1),
+                                 size=int(rng.integers(1, 9)), replace=False)
+            counts = {int(k): int(rng.integers(1, 10 ** int(rng.integers(1, 7))))
+                      for k in degrees}
+            cases.append((float(rng.uniform(0.0, 1.0)), counts))
+            cases.append((cases[-1][0], {0: int(rng.integers(1, 10**6)), **counts}))
+        for alpha, counts in cases:
+            got = degree_proportional_alpha(alpha, DegreeDistribution(counts))
+            want = exact(alpha, counts)
+            assert abs(got - want) <= 1e-15 * want, counts
+        assert exact(0.7, {5: 1000}) == 0.7 and exact(0.31, {12: 3}) == 0.31
