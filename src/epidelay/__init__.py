@@ -42,7 +42,6 @@ from .stability import (
     NumericalError,
     StabilityVerdict,
     VerdictKind,
-    char_fn,
     degree_proportional_alpha,
     heterogeneous_delay_bound,
     homogeneous_delay_bound,

@@ -8,7 +8,7 @@ ensembles of 1e5..1e6-node graphs:
   barabasi-albert:  preferential attachment with m = round(mu/2) edges per
                     new node
   watts-strogatz:   ring lattice of even degree k = round(mu) with each
-                    edge rewired independently with probability 0.1 (ws_rewire)
+                    edge rewired independently with probability WS_REWIRE = 0.1
 
 Generated graphs are undirected and simple; the empirical mean degree must
 land within 2% of the request or generation fails. Each generator returns
@@ -46,6 +46,9 @@ GRAPH_KINDS = ("config-poisson", "barabasi-albert", "watts-strogatz")
 # limit) still fit in memory.
 MAX_GRAPH_STUBS = 100_000_000
 
+# Watts–Strogatz rewiring probability, read by generate_graph at each call.
+WS_REWIRE = 0.1
+
 
 @dataclass(frozen=True)
 class ContactGraph:
@@ -75,6 +78,7 @@ class ContactGraph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]: self.indptr[v + 1]]
 
+    @functools.cached_property
     def census(self) -> tuple[float, float]:
         """Empirical (mean, variance) of the degree sequence."""
         d = self.degrees.astype(np.float64)
@@ -326,8 +330,6 @@ def _watts_strogatz(n: int, mu: float, rewire_p: float, rng: np.random.Generator
     k = int(round(mu / 2.0)) * 2
     if k < 2 or k >= n:
         raise ModelError(f"ring degree k={k} invalid for {n} nodes (need 2 <= k < n)")
-    if not 0.0 <= rewire_p <= 1.0:
-        raise ModelError(f"rewire probability must be in [0, 1], got {rewire_p}")
     half = k // 2
     u = np.repeat(np.arange(n, dtype=np.int64), half)
     v = (u + np.tile(np.arange(1, half + 1, dtype=np.int64), n)) % n
@@ -337,13 +339,7 @@ def _watts_strogatz(n: int, mu: float, rewire_p: float, rng: np.random.Generator
     return u, v
 
 
-def generate_graph(
-    kind: str,
-    node_count: int,
-    mean_degree: float,
-    seed,
-    ws_rewire: float = 0.1,
-) -> ContactGraph:
+def generate_graph(kind: str, node_count: int, mean_degree: float, seed) -> ContactGraph:
     """Build one of the three graph families, reproducibly from `seed`.
 
     seed is an int or a numpy SeedSequence. The request must have
@@ -370,7 +366,7 @@ def generate_graph(
     elif kind == "barabasi-albert":
         u, v = _barabasi_albert(node_count, mean_degree, rng)
     else:
-        u, v = _watts_strogatz(node_count, mean_degree, ws_rewire, rng)
+        u, v = _watts_strogatz(node_count, mean_degree, WS_REWIRE, rng)
     indptr, indices = _csr_from_edges(node_count, u, v)
     degrees = np.diff(indptr).astype(np.int32)
     graph = ContactGraph(
@@ -380,7 +376,7 @@ def generate_graph(
         seed_key=tuple(ss.entropy if isinstance(ss.entropy, (list, tuple)) else [ss.entropy])
         + tuple(ss.spawn_key),
     )
-    mean = graph.census()[0]
+    mean = graph.census[0]
     tol = max(0.02 * mean_degree, 5.0 * math.sqrt(mean_degree / node_count))
     if abs(mean - mean_degree) > tol:
         raise ModelError(

@@ -47,6 +47,12 @@ FIRST_DAY = 1
 # queued run up to its size, so a larger count is refused before it starts.
 MAX_THREADS = 256
 
+# Largest ensemble, refused before the pool starts: the pool queues every run
+# up front, at about 1.9 KB each (190 MB at MAX_RUNS), and the series hold
+# 40 bytes per run-day (400 MB at MAX_RUN_DAYS).
+MAX_RUNS = 100_000
+MAX_RUN_DAYS = 10_000_000
+
 
 @dataclass(frozen=True)
 class GraphSpec:
@@ -55,11 +61,9 @@ class GraphSpec:
     kind: str
     node_count: int
     mean_degree: float
-    ws_rewire: float = 0.1
 
     def build(self, seed) -> ContactGraph:
-        return generate_graph(self.kind, self.node_count, self.mean_degree, seed,
-                              ws_rewire=self.ws_rewire)
+        return generate_graph(self.kind, self.node_count, self.mean_degree, seed)
 
 
 @dataclass
@@ -112,11 +116,6 @@ def infection_prob_table(rho: float, max_degree: int) -> np.ndarray:
     table = 1.0 - np.power(1.0 - rho, np.arange(max_degree + 1, dtype=np.float64))
     table.setflags(write=False)
     return table
-
-
-def _alive(status: np.ndarray) -> np.ndarray:
-    """Ascending indices of the infectious and isolated nodes."""
-    return np.flatnonzero((status == INFECTIOUS) | (status == ISOLATED))
 
 
 # A test reading k entries of an n-entry draw jumps to each of them when
@@ -183,18 +182,19 @@ def _neighbor_entries(graph: ContactGraph, rows: np.ndarray) -> np.ndarray:
 def init_state(graph: ContactGraph, seeds: np.ndarray, params: EpidemicParams,
                rng: np.random.Generator) -> EpidemicState:
     """Day-FIRST_DAY state with the given seed nodes infectious and the
-    isolation scheme already applied to them."""
+    isolation scheme already applied to them. The seeds must be distinct,
+    as seed_infections returns them."""
     n = graph.node_count
     status = np.zeros(n, dtype=np.int8)
     iso_day = np.full(n, -1, dtype=np.int64)
     status[seeds] = INFECTIOUS
     t_days = int(round(params.t_delay))
-    picked = rng.random(len(seeds)) < params.alpha
-    iso_day[seeds[picked]] = FIRST_DAY + t_days
-    due = (status == INFECTIOUS) & (iso_day == FIRST_DAY)
-    status[due] = ISOLATED
+    picked = seeds[rng.random(len(seeds)) < params.alpha]
+    iso_day[picked] = FIRST_DAY + t_days
+    if t_days == 0:
+        status[picked] = ISOLATED
     return EpidemicState(status=status, iso_day=iso_day, day=FIRST_DAY,
-                         alive=_alive(status), removed=0)
+                         alive=np.sort(seeds), removed=0)
 
 
 def metrics_from_state(graph: ContactGraph, state: EpidemicState) -> DayMetrics:
@@ -270,7 +270,7 @@ def run_single(graph: ContactGraph, params: EpidemicParams, seeding: str,
     series = [metrics_from_state(graph, state)]
     series += [step_day(graph, state, params, rng) for _ in range(days - 1)]
     col = lambda name, dtype=np.int64: np.array([getattr(m, name) for m in series], dtype=dtype)
-    mu, var = graph.census()
+    mu, var = graph.census
     return RunResult(s=col("s"), i=col("i"), r=col("r"), isolated=col("isolated"),
                      mean_inf_degree=col("mean_inf_degree", np.float64),
                      census_mu=mu, census_var=var)
@@ -297,15 +297,35 @@ class NetworkEnsembleStats:
     base_seed: int
     run_count: int
 
+    def _observed_inf_degree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """mean_inf_degree with NaN set to 0, the NaN mask, and the per-day
+        count of runs with an infectious node."""
+        missing = np.isnan(self.mean_inf_degree)
+        return (np.where(missing, 0.0, self.mean_inf_degree), missing,
+                np.count_nonzero(~missing, axis=0))
+
     def ensemble_mean_inf_degree(self) -> np.ndarray:
-        return np.nanmean(self.mean_inf_degree, axis=0)
+        """Per-day mean of mean_inf_degree over the runs with an infectious
+        node, NaN on days with none: np.nanmean's doubles, by its own
+        arithmetic, without its empty-slice warning."""
+        values, _, valid = self._observed_inf_degree()
+        with np.errstate(invalid="ignore"):
+            return values.sum(axis=0) / valid
 
     def stddev_inf_degree(self) -> np.ndarray:
         """Across-run sample standard deviation of mean_inf_degree per day;
-        zero for a single run."""
+        zero for a single run, else NaN on days with fewer than two runs
+        with an infectious node. These are np.nanstd(ddof=1)'s doubles, by
+        its own arithmetic, without its degrees-of-freedom warning."""
         if self.run_count < 2:
             return np.zeros(len(self.days))
-        return np.nanstd(self.mean_inf_degree, axis=0, ddof=1)
+        values, missing, valid = self._observed_inf_degree()
+        with np.errstate(invalid="ignore", divide="ignore"):
+            dev = values - values.sum(axis=0) / valid
+            dev[missing] = 0.0
+            var = (dev * dev).sum(axis=0) / (valid - 1)
+        var[valid < 2] = np.nan
+        return np.sqrt(var)
 
     def stderr_inf_degree(self) -> np.ndarray:
         valid = np.sum(~np.isnan(self.mean_inf_degree), axis=0)
@@ -327,10 +347,13 @@ def run_ensemble(
 
     By default each run regenerates its own graph realization; with
     reuse_graph one realization (run-0 graph stream) is shared. Threads, at
-    most MAX_THREADS, only affect wall time, never results.
+    most MAX_THREADS, only affect wall time, never results. At most MAX_RUNS
+    runs and MAX_RUN_DAYS run-days are accepted.
     """
-    if runs < 1:
-        raise ModelError(f"runs must be >= 1, got {runs}")
+    if not 1 <= runs <= MAX_RUNS:
+        raise ModelError(f"runs must be in [1, {MAX_RUNS}], got {runs}")
+    if runs * days > MAX_RUN_DAYS:
+        raise ModelError(f"runs x days = {runs} x {days} exceeds {MAX_RUN_DAYS}")
     if base_seed < 0:
         raise ModelError(f"base_seed must be >= 0, got {base_seed}")
     if not 1 <= threads <= MAX_THREADS:

@@ -12,9 +12,9 @@ equation has negative real part, which happens iff
     t_delay < t_max = (1/gamma) * ln(alpha * beta_h / (beta_h - gamma))
 
 whenever beta_h > gamma and alpha > 1 - gamma/beta_h. This module provides
-the closed-form bounds, the characteristic function, the rightmost-root
-computation via the Lambert W function, and the equivalent common isolation
-fraction for a degree-proportional isolation scheme.
+the closed-form bounds, the coefficients of the characteristic equation,
+its rightmost root via the Lambert W function, and the equivalent common
+isolation fraction for a degree-proportional isolation scheme.
 """
 
 from __future__ import annotations
@@ -166,17 +166,6 @@ def _lambert_wm1(x: float) -> float:
         w = l1 - l2 + l2 / l1
     w = _halley(w, x)
     return min(w, -1.0)
-
-
-def char_fn(s: complex, beta_h: float, params: EpidemicParams) -> complex:
-    """Characteristic function f(s) = s - beta_h*(1 - alpha*e^{-(gamma+s)T}) + gamma.
-
-    Its roots (together with the always-stable root at -gamma) are the
-    characteristic roots of the linearized isolation dynamics. At s = 0 it
-    equals gamma * (1 - Re) with Re the effective reproduction number.
-    """
-    g, al, tau = params.gamma, params.alpha, params.t_delay
-    return s - beta_h * (1.0 - al * cmath.exp(-(g + s) * tau)) + g
 
 
 def rightmost_root(cp: CharacteristicParams) -> complex:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from epidelay import stability
 from epidelay.cli import main
 from epidelay.dde import History, integrate_homogeneous, integrate_reduced
 from epidelay.params import (DegreeStats, EpidemicParams, compute_stats, effective_beta,
-                             load_distribution)
+                             load_distribution, write_csv)
 
 
 def run_cli(*argv) -> int:
@@ -400,6 +401,43 @@ class TestNetsim:
         assert capsys.readouterr().err.startswith("error: threads must be in [1, 256]")
         assert not (tmp_path / "runs.csv").exists()
         assert run_cli(*base, "--threads", "256") == 0
+
+    def test_extinct_ensemble_writes_aggregate_without_warnings(self, tmp_path):
+        # rho 0: every run dies out, so late days have no infectious node in
+        # any run and the across-run mean and deviation there are nan
+        out, agg = tmp_path / "runs.csv", tmp_path / "agg.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("netsim", "--graph", "config-poisson", "--nodes", "1000",
+                           "--rho", "0", "--days", "120", "--runs", "2", "--seed", "3",
+                           "--out", str(out), "--agg-out", str(agg)) == 0
+        # the expected file: the runs CSV reduced with numpy's nan-aware
+        # mean and deviation, their warnings ignored
+        rows = np.genfromtxt(out, delimiter=",", skip_header=1)
+        cols = rows[:, 2:].reshape(2, 120, 5).transpose(2, 0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            reduced = (*(c.mean(axis=0) for c in cols[:4]), np.nanmean(cols[4], axis=0),
+                       np.nanstd(cols[4], axis=0, ddof=1))
+        valid = np.count_nonzero(~np.isnan(cols[4]), axis=0)
+        assert {0, 1} <= set(valid.tolist())
+        want = tmp_path / "want.csv"
+        write_csv(want, ("day", "mean_S", "mean_I", "mean_R", "mean_isolated",
+                         "mean_inf_degree", "stddev_inf_degree"),
+                  zip(range(1, 121), *(c.tolist() for c in reduced)))
+        assert agg.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("runs,days,limit", [
+        (100_001, 1, "runs must be in [1, 100000]"),
+        (2, 5_000_001, "runs x days = 2 x 5000001 exceeds 10000000"),
+    ])
+    def test_oversized_ensemble_refused(self, runs, days, limit, tmp_path, capsys):
+        # refused before the pool queues a run; each would take gigabytes
+        out = tmp_path / "runs.csv"
+        assert run_cli("netsim", "--graph", "config-poisson", "--nodes", "100",
+                       "--runs", str(runs), "--days", str(days), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {limit}")
+        assert not out.exists()
 
     def test_default_aggregate_path_in_dotted_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from epidelay import graphs
 from epidelay.graphs import (MAX_GRAPH_STUBS, ContactGraph, _ba_attach, _csr_from_edges,
                              _ws_rewire, generate_graph, sorted_unique)
 from epidelay.params import ModelError
@@ -29,7 +30,7 @@ class TestAllGenerators:
 
     def test_mean_degree_within_two_percent(self, kind):
         g = generate_graph(kind, 20_000, 4.0, 9)
-        mu, _ = g.census()
+        mu, _ = g.census
         assert abs(mu - 4.0) <= 0.08
 
     def test_deterministic_from_seed(self, kind):
@@ -44,7 +45,7 @@ class TestAllGenerators:
 class TestConfigPoisson:
     def test_poisson_variance(self):
         g = generate_graph("config-poisson", 100_000, 4.0, 2)
-        mu, var = g.census()
+        mu, var = g.census
         assert 3.8 <= var <= 4.2
         assert abs(mu - 4.0) < 0.08
 
@@ -58,7 +59,7 @@ class TestConfigPoisson:
 class TestBarabasiAlbert:
     def test_heavy_tail(self):
         g = generate_graph("barabasi-albert", 50_000, 4.0, 4)
-        mu, var = g.census()
+        mu, var = g.census
         assert abs(mu - 4.0) < 0.08
         assert np.sqrt(var) / mu > 1.0
         assert g.degrees.max() > 50
@@ -70,21 +71,21 @@ class TestBarabasiAlbert:
 
 
 class TestWattsStrogatz:
-    def test_unrewired_ring_is_regular(self):
-        g = generate_graph("watts-strogatz", 1000, 4.0, 3, ws_rewire=0.0)
+    def test_unrewired_ring_is_regular(self, monkeypatch):
+        monkeypatch.setattr(graphs, "WS_REWIRE", 0.0)
+        g = generate_graph("watts-strogatz", 1000, 4.0, 3)
         assert np.all(g.degrees == 4)
 
-    def test_rewire_preserves_edge_count(self):
-        g0 = generate_graph("watts-strogatz", 5000, 4.0, 3, ws_rewire=0.0)
-        g1 = generate_graph("watts-strogatz", 5000, 4.0, 3, ws_rewire=0.1)
+    def test_rewire_preserves_edge_count(self, monkeypatch):
+        g1 = generate_graph("watts-strogatz", 5000, 4.0, 3)
+        monkeypatch.setattr(graphs, "WS_REWIRE", 0.0)
+        g0 = generate_graph("watts-strogatz", 5000, 4.0, 3)
         assert g1.edge_count == g0.edge_count == 10_000
-        assert g1.census()[1] > 0.0
+        assert g1.census[1] > 0.0
 
     def test_bad_ring_parameters(self):
         with pytest.raises(ModelError):
             generate_graph("watts-strogatz", 100, 1.0, 0)
-        with pytest.raises(ModelError):
-            generate_graph("watts-strogatz", 1000, 4.0, 0, ws_rewire=1.5)
 
 
 class TestValidation:
@@ -120,9 +121,10 @@ class TestValidation:
         with pytest.raises(ModelError, match="exceeds"):
             generate_graph(kind, n, mu, 0)
 
-    def test_complete_graph_accepted(self):
+    def test_complete_graph_accepted(self, monkeypatch):
         # mean_degree = node_count - 1 is the largest request allowed
-        g = generate_graph("watts-strogatz", 101, 100.0, 0, ws_rewire=0.0)
+        monkeypatch.setattr(graphs, "WS_REWIRE", 0.0)
+        g = generate_graph("watts-strogatz", 101, 100.0, 0)
         assert g.edge_count == 101 * 100 // 2
 
     def test_degree_distribution_export(self):
@@ -139,8 +141,9 @@ class TestValidation:
         _ref_write_edge_list(g, ref)
         assert path.read_bytes() == ref.read_bytes()
 
-    def test_edge_list_export(self, tmp_path):
-        g = generate_graph("watts-strogatz", 200, 4.0, 5, ws_rewire=0.0)
+    def test_edge_list_export(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graphs, "WS_REWIRE", 0.0)
+        g = generate_graph("watts-strogatz", 200, 4.0, 5)
         path = tmp_path / "edges.txt"
         g.write_edge_list(path)
         lines = path.read_text().splitlines()
@@ -226,7 +229,7 @@ def _ref_ws_rewire(n, u, v, rewire_idx, rng):
                 break
 
 
-def _ref_graph(kind, n, mu, seed, ws_rewire):
+def _ref_graph(kind, n, mu, seed, rewire_p):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if kind == "config-poisson":
         deg = rng.poisson(mu, n)
@@ -248,9 +251,9 @@ def _ref_graph(kind, n, mu, seed, ws_rewire):
         half = int(round(mu / 2.0))
         u = np.repeat(np.arange(n, dtype=np.int64), half)
         v = (u + np.tile(np.arange(1, half + 1, dtype=np.int64), n)) % n
-        if ws_rewire > 0.0:
+        if rewire_p > 0.0:
             decide = rng.random(u.size)
-            _ref_ws_rewire(n, u, v, np.flatnonzero(decide < ws_rewire), rng)
+            _ref_ws_rewire(n, u, v, np.flatnonzero(decide < rewire_p), rng)
     indptr, indices = _ref_csr(n, *_ref_dedupe(n, u, v))
     return indptr, indices, np.diff(indptr).astype(np.int32)
 
@@ -276,17 +279,19 @@ class TestGeneratorOracle:
     same graph as the sequential definitions, draw for draw."""
 
     @pytest.mark.parametrize("kind,n,mu,p", ORACLE_GRID)
-    def test_grid_matches_reference(self, kind, n, mu, p):
+    def test_grid_matches_reference(self, kind, n, mu, p, monkeypatch):
         seed = 1000 + n + int(10 * mu) + int(100 * p)
-        _assert_bitwise_equal(generate_graph(kind, n, mu, seed, ws_rewire=p),
+        monkeypatch.setattr(graphs, "WS_REWIRE", p)
+        _assert_bitwise_equal(generate_graph(kind, n, mu, seed),
                               _ref_graph(kind, n, mu, seed, p))
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
-    def test_saturated_ring(self, p):
+    def test_saturated_ring(self, p, monkeypatch):
         # k = 98 on 101 nodes: most draws collide and some edges exhaust
         # their 1000 tries, so the buffer is refilled mid-edge
+        monkeypatch.setattr(graphs, "WS_REWIRE", p)
         for seed in (3, 4):
-            _assert_bitwise_equal(generate_graph("watts-strogatz", 101, 98.0, seed, ws_rewire=p),
+            _assert_bitwise_equal(generate_graph("watts-strogatz", 101, 98.0, seed),
                                   _ref_graph("watts-strogatz", 101, 98.0, seed, p))
 
     def test_crowded_node_rewire(self):

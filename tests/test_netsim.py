@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from epidelay import graphs
 from epidelay.graphs import generate_graph
 from epidelay.netsim import (
     _JUMP_COST,
@@ -11,7 +13,7 @@ from epidelay.netsim import (
     REMOVED,
     SUSCEPTIBLE,
     GraphSpec,
-    _alive,
+    NetworkEnsembleStats,
     _uniform_at,
     infection_prob_table,
     init_state,
@@ -30,6 +32,11 @@ def base_params(**kw):
     defaults = dict(rho=0.2, gamma=0.1, alpha=0.0, t_delay=0.0)
     defaults.update(kw)
     return EpidemicParams(**defaults)
+
+
+def _alive(status: np.ndarray) -> np.ndarray:
+    """Ascending indices of the infectious and isolated nodes."""
+    return np.flatnonzero((status == INFECTIOUS) | (status == ISOLATED))
 
 
 class TestInfectionProbabilities:
@@ -72,7 +79,7 @@ class TestSeeding:
 
     def test_degree_proportional_mean_is_size_biased(self):
         g = generate_graph("config-poisson", 50_000, 4.0, 5)
-        mu, var = g.census()
+        mu, var = g.census
         rng = np.random.default_rng(8)
         means = [g.degrees[seed_infections(g, 10, "degree", rng)].mean()
                  for _ in range(2000)]
@@ -126,6 +133,33 @@ class TestStepSemantics:
         assert np.count_nonzero(scheduled) > 10
         assert np.all(state.iso_day[scheduled] == inf_day[scheduled] + 3)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("t_delay", [0.0, 0.4, 2.0])
+    def test_init_state_matches_dense_scan(self, alpha, t_delay):
+        # init_state works from its seeds alone; the dense reference scans
+        # every node, and both must leave the generator in the same place
+        g = generate_graph("config-poisson", 2000, 4.0, 9)
+        p = base_params(alpha=alpha, t_delay=t_delay)
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        seeds = seed_infections(g, 50, "uniform", rng)
+        ref_seeds = seed_infections(g, 50, "uniform", ref_rng)
+        state = init_state(g, seeds, p, rng)
+        status, iso_day, alive = dense_init_state(g, ref_seeds, p, ref_rng)
+        assert np.array_equal(state.status, status)
+        assert np.array_equal(state.iso_day, iso_day)
+        assert state.alive.dtype == alive.dtype and np.array_equal(state.alive, alive)
+        assert np.array_equal(state.alive, _alive(state.status))
+        assert (state.day, state.removed) == (1, 0)
+        assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+        # seeds are isolated at once only when the delay rounds to 0 days
+        isolated = np.count_nonzero(status == ISOLATED)
+        if alpha == 0.0 or t_delay == 2.0:
+            assert isolated == 0
+        elif alpha == 1.0:
+            assert isolated == 50
+        else:
+            assert 0 < isolated < 50
+
     def test_conservation_and_monotone_compartments(self):
         g = generate_graph("config-poisson", 5000, 4.0, 10)
         p = base_params(alpha=0.5, t_delay=2.0)
@@ -149,6 +183,19 @@ class TestStepSemantics:
             for a, b in zip(prev_status[changed].tolist(), state.status[changed].tolist()):
                 assert (a, b) in allowed
             prev_status = state.status.copy()
+
+
+def dense_init_state(graph, seeds, params, rng):
+    """Reference day-1 state: every node whose isolation falls due on day 1
+    is found by a full-length mask, and alive by a scan of all nodes.
+    Returns (status, iso_day, alive)."""
+    status = np.zeros(graph.node_count, dtype=np.int8)
+    iso_day = np.full(graph.node_count, -1, dtype=np.int64)
+    status[seeds] = INFECTIOUS
+    picked = rng.random(len(seeds)) < params.alpha
+    iso_day[seeds[picked]] = 1 + int(round(params.t_delay))
+    status[(status == INFECTIOUS) & (iso_day == 1)] = ISOLATED
+    return status, iso_day, _alive(status)
 
 
 def dense_step_day(graph, state, params, rng):
@@ -215,6 +262,7 @@ def assert_matches_dense(graph, params, seeds=None, days=30, bit_generator=np.ra
     seeds = drawn if seeds is None else seeds
     state = init_state(graph, seeds, params, rng)
     ref = init_state(graph, seeds, params, ref_rng)
+    assert np.array_equal(state.alive, _alive(state.status))
     rng.sizes.clear()
     infectious = []
     for _ in range(days):
@@ -350,11 +398,50 @@ class TestEnsemble:
         fresh = run_ensemble(self.spec(), p, runs=4, days=5, base_seed=3)
         assert len(np.unique(fresh.census_mu)) > 1
 
-    def test_regular_graph_mean_degree_constant(self):
-        spec = GraphSpec("watts-strogatz", 1000, 4.0, ws_rewire=0.0)
+    def test_regular_graph_mean_degree_constant(self, monkeypatch):
+        monkeypatch.setattr(graphs, "WS_REWIRE", 0.0)
+        spec = GraphSpec("watts-strogatz", 1000, 4.0)
         stats = run_ensemble(spec, base_params(), runs=3, days=15, base_seed=1)
         m = stats.mean_inf_degree
         assert np.all(np.isclose(m[~np.isnan(m)], 4.0))
+
+    @pytest.mark.parametrize("kind", ["config-poisson", "barabasi-albert", "watts-strogatz"])
+    def test_census_measured_once(self, kind):
+        # generate_graph measures the census for its mean-degree check, and
+        # every run on the graph reports that measurement
+        g = generate_graph(kind, 2000, 4.0, 4)
+        assert "census" in vars(g)
+        mu, var = vars(g)["census"]
+        d = g.degrees.astype(np.float64)
+        assert (mu, var) == (float(d.mean()), float(d.var()))
+        res = run_single(g, base_params(), "uniform", 10, 3, np.random.default_rng(1))
+        assert (res.census_mu, res.census_var) == (mu, var)
+
+    @pytest.mark.parametrize("runs", [1, 2, 3, 7])
+    def test_aggregates_match_nan_reductions(self, runs):
+        # the same doubles as np.nanmean and np.nanstd(ddof=1), which warn on
+        # days with no (or, for the deviation, one) run left
+        rng = np.random.default_rng(runs)
+        for missing_share in (0.0, 0.3, 0.8, 1.0):
+            m = rng.uniform(1.0, 12.0, (runs, 40))
+            if missing_share:
+                m[rng.random(m.shape) < missing_share] = np.nan
+                m[:, 0] = np.nan
+                m[1:, 1] = np.nan
+            stats = NetworkEnsembleStats(
+                days=np.arange(1, 41), s=m, i=m, r=m, isolated=m, mean_inf_degree=m,
+                census_mu=np.zeros(runs), census_var=np.zeros(runs), base_seed=0,
+                run_count=runs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want_mean = np.nanmean(m, axis=0)
+                want_sd = np.nanstd(m, axis=0, ddof=1) if runs > 1 else np.zeros(40)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got_mean = stats.ensemble_mean_inf_degree()
+                got_sd = stats.stddev_inf_degree()
+            assert np.array_equal(got_mean.view(np.int64), want_mean.view(np.int64))
+            assert np.array_equal(got_sd.view(np.int64), want_sd.view(np.int64))
 
     def test_csv_schemas(self, tmp_path):
         stats = run_ensemble(self.spec(), base_params(), runs=2, days=4, base_seed=9)

@@ -17,7 +17,6 @@ from epidelay.params import (
 from epidelay.stability import (
     CharacteristicParams,
     VerdictKind,
-    char_fn,
     degree_proportional_alpha,
     heterogeneous_delay_bound,
     homogeneous_delay_bound,
@@ -29,6 +28,18 @@ from epidelay.stability import (
 
 def params(rho=0.0, gamma=0.1, alpha=0.8, t_delay=0.0):
     return EpidemicParams(rho=rho, gamma=gamma, alpha=alpha, t_delay=t_delay)
+
+
+def char_fn(s: complex, beta_h: float, params: EpidemicParams) -> complex:
+    """Characteristic function f(s) = s - beta_h*(1 - alpha*e^{-(gamma+s)T}) + gamma,
+    written from the model independently of model_char_params.
+
+    Its roots (together with the always-stable root at -gamma) are the
+    characteristic roots of the linearized isolation dynamics. At s = 0 it
+    equals gamma * (1 - Re) with Re the effective reproduction number.
+    """
+    g, al, tau = params.gamma, params.alpha, params.t_delay
+    return s - beta_h * (1.0 - al * cmath.exp(-(g + s) * tau)) + g
 
 
 class TestHomogeneousBound:
