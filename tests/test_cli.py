@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import epidelay
-from epidelay import stability
+from epidelay import netsim, stability
 from epidelay.cli import main
 from epidelay.dde import History, integrate_homogeneous, integrate_reduced
 from epidelay.params import (DegreeStats, EpidemicParams, compute_stats, effective_beta,
@@ -437,6 +437,18 @@ class TestNetsim:
         assert run_cli("netsim", "--graph", "config-poisson", "--nodes", "100",
                        "--runs", str(runs), "--days", str(days), "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith(f"error: {limit}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("days", ["0", "-3"])
+    def test_bad_days_refused_before_any_graph(self, days, tmp_path, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("graph built before days was checked")
+
+        monkeypatch.setattr(netsim, "generate_graph", no_build)
+        out = tmp_path / "runs.csv"
+        assert run_cli("netsim", "--graph", "barabasi-albert", "--nodes", "1000000",
+                       "--runs", "4", "--threads", "2", "--days", days, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: days must be >= 1, got {days}")
         assert not out.exists()
 
     def test_default_aggregate_path_in_dotted_directory(self, tmp_path, monkeypatch):

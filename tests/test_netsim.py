@@ -1,10 +1,12 @@
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from epidelay import graphs
+from epidelay import graphs, netsim
 from epidelay.graphs import generate_graph
 from epidelay.netsim import (
     _JUMP_COST,
@@ -14,6 +16,9 @@ from epidelay.netsim import (
     SUSCEPTIBLE,
     GraphSpec,
     NetworkEnsembleStats,
+    _exposures,
+    _pull,
+    _push,
     _uniform_at,
     infection_prob_table,
     init_state,
@@ -239,11 +244,13 @@ def same_state(a, b):
 
 class DrawLog(np.random.Generator):
     """A Generator that records the size of every random() call: an int for
-    a dense draw, None for a scalar draw taken after a jump."""
+    a dense draw, None for a scalar draw taken after a jump. days holds the
+    sizes drawn by each step_day call that assert_matches_dense makes."""
 
     def __init__(self, bit_generator):
         super().__init__(bit_generator)
         self.sizes = []
+        self.days = []
 
     def random(self, size=None, *args, **kwargs):
         self.sizes.append(size)
@@ -266,7 +273,9 @@ def assert_matches_dense(graph, params, seeds=None, days=30, bit_generator=np.ra
     rng.sizes.clear()
     infectious = []
     for _ in range(days):
+        start = len(rng.sizes)
         m = step_day(graph, state, params, rng)
+        rng.days.append(rng.sizes[start:])
         s, i, r, iso, mean_deg = dense_step_day(graph, ref, params, ref_rng)
         assert (m.day, m.s, m.i, m.r, m.isolated) == (ref.day, s, i, r, iso)
         assert (np.float64(m.mean_inf_degree).view(np.int64)
@@ -289,12 +298,17 @@ class TestFrontierSweepOracle:
                                       "watts-strogatz"])
     @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
     @pytest.mark.parametrize("t_delay", [0.0, 1.0, 3.0])
-    def test_identical_to_dense_sweep(self, kind, alpha, t_delay):
+    def test_identical_to_dense_sweep(self, kind, alpha, t_delay, monkeypatch):
         # at 20k nodes the jump cut-off is 39 entries, so small frontiers
         # jump and grown ones draw densely
         g = generate_graph(kind, 20_000, 4.0, 21)
         p = base_params(alpha=alpha, t_delay=t_delay)
-        infectious, rng = assert_matches_dense(g, p)
+        taken = set()
+        for way in (_push, _pull):
+            monkeypatch.setattr(netsim, way.__name__,
+                                lambda *a, way=way: taken.add(way) or way(*a))
+        # Watts-Strogatz first reads the susceptible side on day 48
+        infectious, rng = assert_matches_dense(g, p, days=60 if alpha == 0.0 else 30)
         assert None in rng.sizes
         # the recovery test reads every infectious node, so a frontier past
         # the cut-off draws densely; without isolation it always gets there
@@ -302,10 +316,21 @@ class TestFrontierSweepOracle:
         if grown:
             assert 20_000 in rng.sizes
         if alpha == 0.0:
-            assert grown
+            # the grown epidemic's dense days read the susceptible side
+            assert grown and taken == {_push, _pull}
         if alpha == 1.0 and t_delay == 0.0:
             # every seed is isolated on day 1, so the frontier stays empty
             assert max(infectious) == 0
+
+    @pytest.mark.parametrize("kind", ["config-poisson", "barabasi-albert",
+                                      "watts-strogatz"])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_certain_isolation_draws_nothing(self, kind, alpha):
+        # at alpha 0 or 1 the isolation test's outcome is certain, so a
+        # grown day draws densely for infection and recovery alone
+        g = generate_graph(kind, 20_000, 4.0, 21)
+        _, rng = assert_matches_dense(g, base_params(alpha=alpha, t_delay=3.0))
+        assert max(sum(size is not None for size in day) for day in rng.days) == 2
 
     def test_degree_zero_nodes_infectious(self):
         g = generate_graph("config-poisson", 2000, 4.0, 21)
@@ -322,6 +347,40 @@ class TestFrontierSweepOracle:
                                       bit_generator=bit_generator)
         # only the PCG64 family can jump; every other generator draws densely
         assert (None in rng.sizes) == (bit_generator is np.random.PCG64DXSM)
+
+
+@functools.lru_cache(maxsize=None)
+def small_graph(kind):
+    return generate_graph(kind, 300, 4.0, 5)
+
+
+class TestPushPull:
+    """Both directions of the day sweep find the same exposed nodes, in the
+    same order, with the same count of infectious neighbors."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["config-poisson", "barabasi-albert", "watts-strogatz"]),
+           weights=st.tuples(*[st.integers(0, 4)] * 4).filter(any),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kind="config-poisson", weights=(0, 1, 1, 1), seed=0)   # no susceptible node
+    @example(kind="config-poisson", weights=(1, 0, 1, 1), seed=0)   # no spreader
+    @example(kind="barabasi-albert", weights=(1, 1, 0, 0), seed=1)
+    def test_directions_agree(self, kind, weights, seed):
+        g = small_graph(kind)
+        w = np.array(weights, dtype=np.float64)
+        status = np.random.default_rng(seed).choice(4, g.node_count, p=w / w.sum())
+        status = status.astype(np.int8)
+        spreaders = np.flatnonzero(status == INFECTIOUS)
+        exposed, hits = _push(g, status, spreaders)
+        for got in (_pull(g, status, np.flatnonzero(status == SUSCEPTIBLE)),
+                    _exposures(g, status, spreaders)):
+            assert np.array_equal(got[0], exposed) and np.array_equal(got[1], hits)
+        # hits indexes the infection table, whose last entry is the max degree
+        assert np.all((hits >= 1) & (hits <= g.degrees[exposed]))
+
+    def test_graph_has_degree_zero_nodes(self):
+        # the property above runs over rows of length 0 on config-poisson
+        assert np.count_nonzero(small_graph("config-poisson").degrees == 0) > 0
 
 
 class TestUniformAt:
