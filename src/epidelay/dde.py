@@ -33,9 +33,21 @@ partitioned systems step whole state vectors as numpy expressions
 of degrees. The homogeneous and reduced systems have two or three
 components, for which a numpy call costs more than its arithmetic, so they
 step lists of Python floats (_rk4_floats). Both evaluate every component in
-the same IEEE operation order, and one routine (_hermite) gives the dense
-output weights to both and to Trajectory.sample. Integration is
-bit-for-bit reproducible for identical inputs.
+the same IEEE operation order. Integration is bit-for-bit reproducible for
+identical inputs.
+
+Where a delayed lookup falls depends on the time grid and tau, not on the
+state. So the lookups of a block of _BLOCK steps are planned at once
+(_plan): one vectorised _hermite call gives every query its node index and
+Hermite weights, with a scalar loop's operations in its order. The steps
+then run in segments whose lookups read only nodes computed before the
+segment starts (_segments, the method of steps): about tau/dt - 1 steps
+each. The array kernel gathers a segment's delayed states in one numpy
+pass (_gather). The float kernel gathers segments of at least _GATHER_MIN
+steps and combines the lookups of shorter ones from the planned weights in
+Python. Trajectory.sample goes through _hermite and _gather too, so there is
+one dense-output routine. Beyond the node arrays a run's working memory is
+bounded by _BLOCK and _GATHER_VALUES, not by the length of the grid.
 """
 
 from __future__ import annotations
@@ -49,7 +61,9 @@ from .params import DegreeDistribution, EpidemicParams, ModelError, effective_be
 
 # Largest time grid (nodes x state components) an integration may allocate:
 # far above any grid in use (10,001 nodes x 80 components), while its states
-# and derivatives (two float64 arrays, 320 MB at the limit) still fit in memory.
+# and derivatives (two float64 arrays, 320 MB at the limit) and its times
+# (8 bytes a node, 160 MB for one component) still fit in memory. The
+# steppers' own working memory is bounded by _BLOCK and _GATHER_VALUES.
 MAX_GRID_VALUES = 20_000_000
 
 
@@ -110,8 +124,11 @@ class Trajectory:
         supplied history function."""
         if t > self.times[-1]:
             raise ModelError(f"t={t} beyond integrated horizon {self.times[-1]}")
-        return _dense(float(t), self.times, self.states, self.derivs, len(self.times) - 1,
-                      self.times[1] - self.times[0], self.history)
+        t, times = float(t), self.times
+        if t <= times[0]:
+            return self.history(t - times[0])
+        found = _hermite(np.array([t]), times, len(times) - 1, times[1] - times[0])
+        return _gather(self.states, self.derivs, *found)[0]
 
     def to_csv(self, path) -> None:
         """Write `t,<components>` rows at full double precision."""
@@ -130,24 +147,32 @@ class GrowthFit:
 
 
 def _hermite(t, times, filled, dt):
-    """Cubic Hermite weights at t > times[0], over the first `filled` steps.
+    """Cubic Hermite weights at the query times t > times[0] (an array),
+    query j interpolating over the first filled[j] steps (filled may be one
+    int for every query).
 
-    Returns (i, h00, h10*h, h01, h11*h): the state at t is
-    h00*y[i] + (h10*h)*y'[i] + h01*y[i+1] + (h11*h)*y'[i+1], summed in that
-    order. Both kernels and Trajectory.sample combine the weights this way.
+    Returns (i, h00, h10*h, h01, h11*h), one entry a query: the state at
+    t[j] is h00*y[i] + (h10*h)*y'[i] + h01*y[i+1] + (h11*h)*y'[i+1], summed
+    in that order (_gather). Each query takes a scalar loop's steps: the
+    guess int((t - t0)/dt), clamped to [0, filled - 1], moved down while its
+    node lies after t, then up while the next node lies before t.
     """
     t0 = times[0]
-    i = int((t - t0) / dt)
-    if i > filled - 1:
-        i = filled - 1
-    if i < 0:
-        i = 0
-    while i > 0 and times[i] > t:
-        i -= 1
-    while i < filled - 1 and times[i + 1] < t:
-        i += 1
-    h = times[i + 1] - times[i]
-    th = (t - times[i]) / h
+    last = filled - 1
+    i = np.maximum(np.minimum(((t - t0) / dt).astype(np.intp), last), 0)
+    while True:
+        down = (i > 0) & (times[i] > t)
+        if not down.any():
+            break
+        i -= down
+    while True:
+        up = (i < last) & (times[i + 1] < t)
+        if not up.any():
+            break
+        i += up
+    ti = times[i]
+    h = times[i + 1] - ti
+    th = (t - ti) / h
     h00 = (1.0 + 2.0 * th) * (1.0 - th) * (1.0 - th)
     h10 = th * (1.0 - th) * (1.0 - th)
     h01 = th * th * (3.0 - 2.0 * th)
@@ -155,14 +180,93 @@ def _hermite(t, times, filled, dt):
     return i, h00, h10 * h, h01, h11 * h
 
 
-def _dense(t, times, states, derivs, filled, dt, history):
-    """State at t as a new array: the history for t <= times[0], else the
-    Hermite interpolant over the first `filled` steps."""
-    t0 = times[0]
-    if t <= t0:
-        return history(t - t0)
-    i, w00, w10, w01, w11 = _hermite(t, times, filled, dt)
-    return w00 * states[i] + w10 * derivs[i] + w01 * states[i + 1] + w11 * derivs[i + 1]
+def _gather(states, derivs, i, w00, w10, w01, w11):
+    """The interpolated states at _hermite's queries, one row a query."""
+    j = i + 1
+    return (w00[:, None] * states.take(i, 0) + w10[:, None] * derivs.take(i, 0)
+            + w01[:, None] * states.take(j, 0) + w11[:, None] * derivs.take(j, 0))
+
+
+# Most values one gather of the array kernel holds (512 KB): a segment of a
+# system with many components gathers in pieces.
+_GATHER_VALUES = 1 << 16
+
+# Steps whose delayed lookups are planned at once. A block's plan holds a
+# dozen values a step; with the float kernel's Python copy of it and its
+# window of node lists that is under 0.5 MB, however long the grid. Runs
+# took as long with blocks of 128 or 1024 steps.
+_BLOCK = 256
+
+
+def _plan(times, b0, b1, dt, tau):
+    """The delayed lookups of steps b0..b1-1, two a step in step order: at
+    t + h/2 - tau (stages 2 and 3) and at t + h - tau (stage 4 and the next
+    node's derivative), step m's over its first m steps.
+
+    Returns the lookups (q, i, w00, w10, w01, w11), one entry a query, i
+    being -1 where q <= times[0] and the history answers; and ends, where
+    ends[k] is the block step after the segment that starts at step
+    b0 + k: the steps from there whose lookups read only nodes up to b0 + k.
+    """
+    t = times[b0:b1]
+    h = times[b0 + 1:b1 + 1] - t
+    q = np.empty(2 * (b1 - b0))
+    q[0::2] = t + 0.5 * h - tau
+    q[1::2] = t + h - tau
+    steps = np.arange(b0, b1)
+    i, *weights = _hermite(q, times, np.repeat(steps, 2), dt)
+    i[q <= times[0]] = -1
+    # a query reads nodes i and i + 1; the running maximum ends a segment
+    # before the first step that reads past its start even if an index
+    # were to step back
+    top = np.maximum.accumulate(np.maximum(i[0::2], i[1::2]))
+    return (q, i, *weights), np.searchsorted(top, steps).tolist()
+
+
+def _segments(times, dt, tau, most=_BLOCK):
+    """Split the steps into segments whose delayed lookups read only nodes
+    computed before the segment starts (method of steps), planning them a
+    block at a time.
+
+    Yields (m0, tl, lookups, r0): the segment runs steps m0..m0 + len(tl) - 2,
+    at most `most` of them; tl holds their node times as floats, and its
+    lookups are the rows r0..r0 + 2*(len(tl) - 1) of the block's lookups
+    (None at tau = 0). A segment that the block's end cuts short is planned
+    again with the next block unless it is the block's first.
+    """
+    n = len(times) - 1
+    b0 = 0
+    while b0 < n:
+        b1 = min(b0 + _BLOCK, n)
+        tl = times[b0:b1 + 1].tolist()
+        if tau == 0.0:
+            ends = [b1 - b0] * (b1 - b0)
+            lookups = None
+        else:
+            lookups, ends = _plan(times, b0, b1, dt, tau)
+        k = 0
+        while k < b1 - b0:
+            e = min(ends[k], k + most)
+            if e == b1 - b0 and 0 < k and b1 < n:
+                break
+            yield b0 + k, tl[k:e + 1], lookups, 2 * k
+            k = e
+        b0 += k
+
+
+def _delayed(lookups, r0, r1, states, derivs, history, t0):
+    """Delayed states of lookup rows r0..r1-1 as one 2-D array: gathered
+    from the nodes, or the history's for queries at or before t0."""
+    q, i, *weights = (a[r0:r1] for a in lookups)
+    if i[0] >= 0:
+        return _gather(states, derivs, i, *weights)
+    # queries grow along the rows, so the history answers a leading run
+    past = int(np.count_nonzero(i < 0))
+    out = np.empty((r1 - r0, states.shape[1]))
+    out[past:] = _gather(states, derivs, i[past:], *(w[past:] for w in weights))
+    for r in range(past):
+        out[r] = history(float(q[r]) - t0)
+    return out
 
 
 def _rk4_arrays(rhs, times, states, derivs, dt, tau, history, cap):
@@ -170,98 +274,139 @@ def _rk4_arrays(rhs, times, states, derivs, dt, tau, history, cap):
     written into the preallocated node arrays as it goes.
 
     rhs(y, y_del) returns the derivative as a new array; at tau = 0 it is
-    given the stage state itself as the delayed state. Returns the number of
-    steps completed: fewer than len(times) - 1 when the state passed `cap`
-    or stopped being finite, the failed step's start being the last trusted
-    node.
+    given the stage state itself as the delayed state. Each segment's
+    delayed states are gathered in one pass before its steps run. Returns
+    the number of steps completed: fewer than len(times) - 1 when the state
+    passed `cap` or stopped being finite, the failed step's start being the
+    last trusted node.
     """
-    tl = times.tolist()
+    t0 = float(times[0])
     lag = tau > 0.0
-    y_del = _dense(tl[0] - tau, tl, states, derivs, 0, dt, history) if lag else states[0]
+    y_del = history((t0 - tau) - t0) if lag else states[0]
     derivs[0] = rhs(states[0], y_del)
-    for m in range(len(tl) - 1):
-        t = tl[m]
-        h = tl[m + 1] - t
-        half = 0.5 * h
-        y, d = states[m], derivs[m]
-
-        # stages 2 and 3 share the delayed lookup at t + h/2 - tau
+    # a gathered array holds at most _GATHER_VALUES values (or one step's)
+    most = max(1, _GATHER_VALUES // (2 * states.shape[1]))
+    for m0, tl, lookups, r0 in _segments(times, dt, tau, most):
         if lag:
-            y_del = _dense(t + half - tau, tl, states, derivs, m, dt, history)
-        y_tmp = y + half * d
-        k2 = rhs(y_tmp, y_del if lag else y_tmp)
-        y_tmp = y + half * k2
-        k3 = rhs(y_tmp, y_del if lag else y_tmp)
+            dels = _delayed(lookups, r0, r0 + 2 * (len(tl) - 1), states, derivs, history, t0)
+        for j in range(len(tl) - 1):
+            m = m0 + j
+            t = tl[j]
+            h = tl[j + 1] - t
+            half = 0.5 * h
+            y, d = states[m], derivs[m]
 
-        # stage 4 and the next node derivative share the lookup at t + h - tau
-        if lag:
-            y_del = _dense(t + h - tau, tl, states, derivs, m, dt, history)
-        y_tmp = y + h * k3
-        k4 = rhs(y_tmp, y_del if lag else y_tmp)
+            # stages 2 and 3 share the delayed lookup at t + h/2 - tau
+            if lag:
+                y_del = dels[2 * j]
+            y_tmp = y + half * d
+            k2 = rhs(y_tmp, y_del if lag else y_tmp)
+            y_tmp = y + half * k2
+            k3 = rhs(y_tmp, y_del if lag else y_tmp)
 
-        y_new = y + (h / 6.0) * (d + 2.0 * k2 + 2.0 * k3 + k4)
-        peak = float(np.abs(y_new).max())
-        if not math.isfinite(peak) or peak > cap:
-            return m
-        states[m + 1] = y_new
-        derivs[m + 1] = rhs(y_new, y_del if lag else y_new)
-    return len(tl) - 1
+            # stage 4 and the next node derivative share the lookup at t + h - tau
+            if lag:
+                y_del = dels[2 * j + 1]
+            y_tmp = y + h * k3
+            k4 = rhs(y_tmp, y_del if lag else y_tmp)
+
+            y_new = y + (h / 6.0) * (d + 2.0 * k2 + 2.0 * k3 + k4)
+            peak = float(np.abs(y_new).max())
+            if not math.isfinite(peak) or peak > cap:
+                return m
+            states[m + 1] = y_new
+            derivs[m + 1] = rhs(y_new, y_del if lag else y_new)
+    return len(times) - 1
+
+
+# Shortest segment the float kernel gathers. A gather costs a dozen numpy
+# calls and two writes into the node arrays whatever its length; a Python
+# lookup combines one query from the planned weights. On a 2-vCPU Xeon with
+# numpy 2.4, 30-day reduced runs (paired, best of 21) took 1.44, 1.14 and
+# 1.04 times as long gathering as combining at segments of 3, 5 and 7
+# steps, 0.97 times at 8 and 0.86 times at 19.
+_GATHER_MIN = 8
 
 
 def _rk4_floats(rhs, times, states, derivs, dt, tau, history, cap):
     """The same method-of-steps RK4 on lists of Python floats, one list per
-    node, copied into `states` and `derivs` at the end.
+    node.
 
     For the two- and three-component systems a numpy call costs more than
     the arithmetic it would do, so this kernel evaluates every expression of
     _rk4_arrays component by component in the same order, giving the same
-    bits. rhs(y, y_del) takes and returns sequences of floats. Returns the
-    number of steps completed, as _rk4_arrays does.
+    bits. rhs(y, y_del) takes and returns sequences of floats. A segment of
+    at least _GATHER_MIN steps gathers its delayed states from `states` and
+    `derivs`, so the nodes before it are written there first; a shorter one
+    combines them from the node lists, which keep only the nodes a later
+    lookup can read. Returns the number of steps completed, as _rk4_arrays
+    does.
     """
-    tl = times.tolist()
-    t0 = tl[0]
-    ys = [states[0].tolist()]
-    ds = []
-
-    def dense(t, filled):
-        if t <= t0:
-            return history(t - t0).tolist()
-        i, w00, w10, w01, w11 = _hermite(t, tl, filled, dt)
-        return [w00 * a + w10 * b + w01 * c + w11 * e
-                for a, b, c, e in zip(ys[i], ds[i], ys[i + 1], ds[i + 1])]
-
+    t0 = float(times[0])
     lag = tau > 0.0
-    y_del = dense(t0 - tau, 0) if lag else ys[0]
-    ds.append(rhs(ys[0], y_del))
-    for m in range(len(tl) - 1):
-        t = tl[m]
-        h = tl[m + 1] - t
-        half = 0.5 * h
-        y, d = ys[m], ds[m]
+    y = states[0].tolist()
+    y_del = history((t0 - tau) - t0).tolist() if lag else y
+    d = rhs(y, y_del)
+    # ys[r], ds[r] hold node base + r; nodes before `saved` are in the arrays
+    ys, ds = [y], [d]
+    base = saved = 0
+    listed = None
+    for m0, tl, lookups, r0 in _segments(times, dt, tau):
+        steps = len(tl) - 1
+        if lag and lookups is not listed:
+            listed = lookups
+            rows = list(zip(*(a.tolist() for a in lookups)))
+        # no lookup from here on reads a node before `low` (queries only
+        # grow); one reading a node the lists dropped gathers
+        low = max(rows[r0][1] - 1, 0) if lag else m0
+        gather = lag and (steps >= _GATHER_MIN or low < base)
+        if gather or len(ys) > _BLOCK:
+            # write the nodes so far; the lists keep at most a block of the
+            # nodes a lookup can still read
+            states[saved:m0 + 1] = ys[saved - base:]
+            derivs[saved:m0 + 1] = ds[saved - base:]
+            saved = m0 + 1
+            keep = max(low, m0 + 1 - _BLOCK)
+            if keep > base:
+                del ys[:keep - base], ds[:keep - base]
+                base = keep
+        if gather:
+            dels = _delayed(lookups, r0, r0 + 2 * steps, states, derivs, history, t0).tolist()
+        elif lag:
+            dels = [history(q - t0).tolist() if i < 0 else
+                    [w00 * a + w10 * b + w01 * c + w11 * e
+                     for a, b, c, e in zip(ys[i - base], ds[i - base],
+                                           ys[i + 1 - base], ds[i + 1 - base])]
+                    for q, i, w00, w10, w01, w11 in rows[r0:r0 + 2 * steps]]
+        for j in range(steps):
+            t = tl[j]
+            h = tl[j + 1] - t
+            half = 0.5 * h
 
-        if lag:
-            y_del = dense(t + half - tau, m)
-        y_tmp = [a + half * b for a, b in zip(y, d)]
-        k2 = rhs(y_tmp, y_del if lag else y_tmp)
-        y_tmp = [a + half * b for a, b in zip(y, k2)]
-        k3 = rhs(y_tmp, y_del if lag else y_tmp)
+            if lag:
+                y_del = dels[2 * j]
+            y_tmp = [a + half * b for a, b in zip(y, d)]
+            k2 = rhs(y_tmp, y_del if lag else y_tmp)
+            y_tmp = [a + half * b for a, b in zip(y, k2)]
+            k3 = rhs(y_tmp, y_del if lag else y_tmp)
 
-        if lag:
-            y_del = dense(t + h - tau, m)
-        y_tmp = [a + h * b for a, b in zip(y, k3)]
-        k4 = rhs(y_tmp, y_del if lag else y_tmp)
+            if lag:
+                y_del = dels[2 * j + 1]
+            y_tmp = [a + h * b for a, b in zip(y, k3)]
+            k4 = rhs(y_tmp, y_del if lag else y_tmp)
 
-        h6 = h / 6.0
-        y_new = [a + h6 * (b + 2.0 * c + 2.0 * e + f)
-                 for a, b, c, e, f in zip(y, d, k2, k3, k4)]
-        for v in y_new:
-            if not math.isfinite(v) or abs(v) > cap:
-                return m
-        ys.append(y_new)
-        ds.append(rhs(y_new, y_del if lag else y_new))
-    states[:] = ys
-    derivs[:] = ds
-    return len(tl) - 1
+            h6 = h / 6.0
+            y_new = [a + h6 * (b + 2.0 * c + 2.0 * e + f)
+                     for a, b, c, e, f in zip(y, d, k2, k3, k4)]
+            for v in y_new:
+                if not math.isfinite(v) or abs(v) > cap:
+                    return m0 + j
+            y, d = y_new, rhs(y_new, y_del if lag else y_new)
+            ys.append(y)
+            ds.append(d)
+    states[saved:] = ys[saved - base:]
+    derivs[saved:] = ds[saved - base:]
+    return len(times) - 1
 
 
 def _make_times(t_end: float, dt: float) -> np.ndarray:

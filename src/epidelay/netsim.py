@@ -207,11 +207,11 @@ def _push(graph: ContactGraph, status: np.ndarray,
     return _tally(neighbors[status[neighbors] == SUSCEPTIBLE])
 
 
-def _pull(graph: ContactGraph, status: np.ndarray,
-          susceptible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pull(graph: ContactGraph, status: np.ndarray, susceptible: np.ndarray,
+          lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_push's (exposed, hits), read from the CSR rows of `susceptible`
-    (ascending): each row counts its infectious entries."""
-    lens = graph.degrees[susceptible]
+    (ascending), whose lengths are `lens`: each row counts its infectious
+    entries."""
     infectious = status[_neighbor_entries(graph, susceptible)] == INFECTIOUS
     counted = np.zeros(len(infectious) + 1, dtype=np.int64)
     np.cumsum(infectious, out=counted[1:])
@@ -228,9 +228,9 @@ def _exposures(graph: ContactGraph, status: np.ndarray,
     more than n/_SCAN_COST spreaders looks for the susceptible side."""
     if len(spreaders) * _SCAN_COST > graph.node_count:
         susceptible = np.flatnonzero(status == SUSCEPTIBLE)
-        degrees = graph.degrees
-        if degrees[susceptible].sum() < degrees[spreaders].sum():
-            return _pull(graph, status, susceptible)
+        lens = graph.degrees[susceptible]
+        if lens.sum() < graph.degrees[spreaders].sum():
+            return _pull(graph, status, susceptible, lens)
     return _push(graph, status, spreaders)
 
 

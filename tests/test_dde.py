@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from epidelay import dde
 from epidelay.dde import (
     History,
     IntegrationError,
@@ -350,13 +352,38 @@ def same_bits(a, b) -> bool:
 ORACLE_SYSTEMS = ("homogeneous", "reduced", "frozen", "dynamic", "alpha-by-degree")
 
 
+def spy_lookups(monkeypatch):
+    """Count the delayed-lookup segments the kernels step and those they
+    gather in one pass; the rest combine each lookup in Python (the float
+    kernel's short segments)."""
+    seen = {"segments": 0, "gathered": 0}
+    plain_segments, plain_delayed = dde._segments, dde._delayed
+
+    def segments(*args):
+        for segment in plain_segments(*args):
+            seen["segments"] += segment[2] is not None
+            yield segment
+
+    def delayed(*args):
+        seen["gathered"] += 1
+        return plain_delayed(*args)
+
+    monkeypatch.setattr(dde, "_segments", segments)
+    monkeypatch.setattr(dde, "_delayed", delayed)
+    return seen
+
+
 class TestStepperOracle:
+    # at dt 0.05 the delays are 4 (the least allowed), 7.4, 20 and 26 steps;
+    # the float kernel combines the lookups of the first two in Python and
+    # gathers the others
     @pytest.mark.parametrize("rate", [0.0, 0.05])
-    @pytest.mark.parametrize("tau", [0.0, 0.37, 1.3])
+    @pytest.mark.parametrize("tau", [0.0, 0.2, 0.37, 1.0, 1.3])
     @pytest.mark.parametrize("system", ORACLE_SYSTEMS)
-    def test_bit_identical_to_loop_stepper(self, system, tau, rate):
+    def test_bit_identical_to_loop_stepper(self, system, tau, rate, monkeypatch):
         run, (status, _, times, states, derivs), ref_sample = oracle_case(system, tau, rate)
         assert status == 0
+        seen = spy_lookups(monkeypatch)
         traj = run()
         assert same_bits(traj.times, times)
         assert same_bits(traj.states, states)
@@ -365,18 +392,71 @@ class TestStepperOracle:
         # tail interval and the history side
         for t in (-1.3, -0.37, -0.01, 0.0, 0.013, 1.0, 17.2371, 30.0, 30.001, 30.003):
             assert same_bits(traj.sample(t), ref_sample(t)), t
+        if tau == 0.0:
+            assert seen == {"segments": 0, "gathered": 0}
+        elif system in ("homogeneous", "reduced"):
+            assert (seen["gathered"] > 0) == (tau >= 1.0)
+            assert (seen["gathered"] < seen["segments"]) == (tau < 1.0)
+        else:
+            assert seen["gathered"] == seen["segments"] > 0
 
-    # at rho 0.3 these grow through the cap mid-run; the dynamic system is
-    # bounded by its partition sizes
+    # at rho 0.3 these grow through the cap mid-run; the reduced runs and the
+    # frozen one at 0.37 fail past the first step of a segment. The dynamic
+    # system is bounded by its partition sizes
     @pytest.mark.parametrize("system,cap", [
         ("reduced", 1.0), ("frozen", 1e4), ("alpha-by-degree", 1e5),
     ])
     def test_blow_up_stops_where_the_loop_does(self, system, cap):
-        run, (status, last, times, _, _), _ = oracle_case(system, 0.37, 0.05, rho=0.3, cap=cap)
-        assert status == 1 and 0 < last < len(times) - 1
-        with pytest.raises(IntegrationError) as err:
-            run()
-        assert err.value.t_last == float(times[last])
+        for tau in (0.37, 0.2):
+            run, (status, last, times, _, _), _ = oracle_case(system, tau, 0.05, rho=0.3,
+                                                              cap=cap)
+            assert status == 1 and 0 < last < len(times) - 1
+            with pytest.raises(IntegrationError) as err:
+                run()
+            assert err.value.t_last == float(times[last]), tau
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(system=st.sampled_from(ORACLE_SYSTEMS),
+           dt=st.sampled_from([0.01, 0.03, 0.05]),
+           ratio=st.one_of(st.integers(4, 64), st.floats(4.0, 64.0)),
+           rate=st.sampled_from([0.0, 0.05, -0.2]),
+           segments=st.floats(1.0, 3.0),
+           tail=st.floats(0.05, 0.95),
+           draws=st.lists(st.floats(-1.1, 1.0), min_size=4, max_size=4))
+    def test_any_delay_matches_loop_stepper(self, system, dt, ratio, rate, segments, tail,
+                                            draws):
+        # delays of 4 to 64 steps, whole or not, and a horizon of one to
+        # three delays that ends in a short tail step
+        tau = ratio * dt
+        t_end = (math.floor(segments * ratio) + tail) * dt
+        run, (status, _, times, states, derivs), ref_sample = oracle_case(
+            system, tau, rate, t_end=t_end, dt=dt)
+        assert status == 0
+        traj = run()
+        assert same_bits(traj.states, states)
+        assert same_bits(traj.derivs, derivs)
+        for u in draws:
+            t = u * (tau + t_end) if u < 0.0 else u * t_end
+            assert same_bits(traj.sample(t), ref_sample(t)), t
+
+
+class TestMemory:
+    # 1.5e4 steps, 0.48 MB of states and derivatives; the delays take the
+    # float kernel's Python lookups (4 steps) and its gathers (50 steps).
+    # Keeping every node as a Python list peaked near 12 times the arrays;
+    # the window peaks near 2 times (the time grid is a quarter of that).
+    @pytest.mark.parametrize("tau", [0.04, 0.5])
+    def test_float_kernel_keeps_a_bounded_window(self, tau):
+        p = EpidemicParams(rho=0.02, gamma=0.1, alpha=0.9, t_delay=tau)
+        stats = DegreeStats.from_mu_cv(4.0, 0.5)
+        hist = constant_history([1e-5, effective_beta(p, stats) * 1e-5])
+        tracemalloc.start()
+        try:
+            traj = integrate_reduced(p, stats, hist, 150.0, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (traj.states.nbytes + traj.derivs.nbytes)
 
 
 class TestDenseOutput:

@@ -372,7 +372,8 @@ class TestPushPull:
         status = status.astype(np.int8)
         spreaders = np.flatnonzero(status == INFECTIOUS)
         exposed, hits = _push(g, status, spreaders)
-        for got in (_pull(g, status, np.flatnonzero(status == SUSCEPTIBLE)),
+        susceptible = np.flatnonzero(status == SUSCEPTIBLE)
+        for got in (_pull(g, status, susceptible, g.degrees[susceptible]),
                     _exposures(g, status, spreaders)):
             assert np.array_equal(got[0], exposed) and np.array_equal(got[1], hits)
         # hits indexes the infection table, whose last entry is the max degree
