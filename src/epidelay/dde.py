@@ -42,12 +42,11 @@ state. So the lookups of a block of _BLOCK steps are planned at once
 Hermite weights, with a scalar loop's operations in its order. The steps
 then run in segments whose lookups read only nodes computed before the
 segment starts (_segments, the method of steps): about tau/dt - 1 steps
-each. The array kernel gathers a segment's delayed states in one numpy
-pass (_gather). The float kernel gathers segments of at least _GATHER_MIN
-steps and combines the lookups of shorter ones from the planned weights in
-Python. Trajectory.sample goes through _hermite and _gather too, so there is
-one dense-output routine. Beyond the node arrays a run's working memory is
-bounded by _BLOCK and _GATHER_VALUES, not by the length of the grid.
+each. Both kernels gather a segment's delayed states in one numpy pass
+(_gather) before its steps run. Trajectory.sample goes through _hermite and
+_gather too, so there is one dense-output routine. Beyond the node arrays a
+run's working memory is bounded by _BLOCK and _GATHER_VALUES, not by the
+length of the grid.
 """
 
 from __future__ import annotations
@@ -192,9 +191,9 @@ def _gather(states, derivs, i, w00, w10, w01, w11):
 _GATHER_VALUES = 1 << 16
 
 # Steps whose delayed lookups are planned at once. A block's plan holds a
-# dozen values a step; with the float kernel's Python copy of it and its
-# window of node lists that is under 0.5 MB, however long the grid. Runs
-# took as long with blocks of 128 or 1024 steps.
+# dozen values a step; with the float kernel's node lists of one segment
+# that is under 0.5 MB, however long the grid. Runs took as long with
+# blocks of 128 or 1024 steps.
 _BLOCK = 256
 
 
@@ -319,15 +318,6 @@ def _rk4_arrays(rhs, times, states, derivs, dt, tau, history, cap):
     return len(times) - 1
 
 
-# Shortest segment the float kernel gathers. A gather costs a dozen numpy
-# calls and two writes into the node arrays whatever its length; a Python
-# lookup combines one query from the planned weights. On a 2-vCPU Xeon with
-# numpy 2.4, 30-day reduced runs (paired, best of 21) took 1.44, 1.14 and
-# 1.04 times as long gathering as combining at segments of 3, 5 and 7
-# steps, 0.97 times at 8 and 0.86 times at 19.
-_GATHER_MIN = 8
-
-
 def _rk4_floats(rhs, times, states, derivs, dt, tau, history, cap):
     """The same method-of-steps RK4 on lists of Python floats, one list per
     node.
@@ -335,49 +325,22 @@ def _rk4_floats(rhs, times, states, derivs, dt, tau, history, cap):
     For the two- and three-component systems a numpy call costs more than
     the arithmetic it would do, so this kernel evaluates every expression of
     _rk4_arrays component by component in the same order, giving the same
-    bits. rhs(y, y_del) takes and returns sequences of floats. A segment of
-    at least _GATHER_MIN steps gathers its delayed states from `states` and
-    `derivs`, so the nodes before it are written there first; a shorter one
-    combines them from the node lists, which keep only the nodes a later
-    lookup can read. Returns the number of steps completed, as _rk4_arrays
-    does.
+    bits. rhs(y, y_del) takes and returns sequences of floats. Each segment
+    gathers its delayed states from `states` and `derivs` before its steps
+    run and writes its nodes there when they end. Returns the number of
+    steps completed, as _rk4_arrays does.
     """
     t0 = float(times[0])
     lag = tau > 0.0
     y = states[0].tolist()
     y_del = history((t0 - tau) - t0).tolist() if lag else y
     d = rhs(y, y_del)
-    # ys[r], ds[r] hold node base + r; nodes before `saved` are in the arrays
-    ys, ds = [y], [d]
-    base = saved = 0
-    listed = None
+    derivs[0] = d
     for m0, tl, lookups, r0 in _segments(times, dt, tau):
         steps = len(tl) - 1
-        if lag and lookups is not listed:
-            listed = lookups
-            rows = list(zip(*(a.tolist() for a in lookups)))
-        # no lookup from here on reads a node before `low` (queries only
-        # grow); one reading a node the lists dropped gathers
-        low = max(rows[r0][1] - 1, 0) if lag else m0
-        gather = lag and (steps >= _GATHER_MIN or low < base)
-        if gather or len(ys) > _BLOCK:
-            # write the nodes so far; the lists keep at most a block of the
-            # nodes a lookup can still read
-            states[saved:m0 + 1] = ys[saved - base:]
-            derivs[saved:m0 + 1] = ds[saved - base:]
-            saved = m0 + 1
-            keep = max(low, m0 + 1 - _BLOCK)
-            if keep > base:
-                del ys[:keep - base], ds[:keep - base]
-                base = keep
-        if gather:
+        if lag:
             dels = _delayed(lookups, r0, r0 + 2 * steps, states, derivs, history, t0).tolist()
-        elif lag:
-            dels = [history(q - t0).tolist() if i < 0 else
-                    [w00 * a + w10 * b + w01 * c + w11 * e
-                     for a, b, c, e in zip(ys[i - base], ds[i - base],
-                                           ys[i + 1 - base], ds[i + 1 - base])]
-                    for q, i, w00, w10, w01, w11 in rows[r0:r0 + 2 * steps]]
+        ys, ds = [], []
         for j in range(steps):
             t = tl[j]
             h = tl[j + 1] - t
@@ -404,8 +367,8 @@ def _rk4_floats(rhs, times, states, derivs, dt, tau, history, cap):
             y, d = y_new, rhs(y_new, y_del if lag else y_new)
             ys.append(y)
             ds.append(d)
-    states[saved:] = ys[saved - base:]
-    derivs[saved:] = ds[saved - base:]
+        states[m0 + 1:m0 + 1 + steps] = ys
+        derivs[m0 + 1:m0 + 1 + steps] = ds
     return len(times) - 1
 
 

@@ -75,9 +75,6 @@ class ContactGraph:
     def max_degree(self) -> int:
         return int(self.degrees.max())
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]: self.indptr[v + 1]]
-
     @functools.cached_property
     def census(self) -> tuple[float, float]:
         """Empirical (mean, variance) of the degree sequence."""
@@ -96,16 +93,21 @@ class ContactGraph:
             fh.writelines(map("{} {}\n".format, u[keep].tolist(), self.indices[keep].tolist()))
 
 
+def run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of the sorted, non-empty 1-d array `a` that start
+    a run of equal values: the first, and each that differs from the one
+    before it."""
+    first = np.empty(a.size, dtype=bool)
+    first[0] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
+
+
 def sorted_unique(a: np.ndarray) -> np.ndarray:
-    """np.unique(a) for a 1-d integer array, by a sort and an adjacent-difference
-    mask (np.unique hashes integer input on numpy >= 2.3, which is slower)."""
+    """np.unique(a) for a 1-d integer array, by a sort and run_starts (np.unique
+    hashes integer input on numpy >= 2.3, which is slower)."""
     a = np.sort(a)
-    if a.size > 1:
-        keep = np.empty(a.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(a[1:], a[:-1], out=keep[1:])
-        a = a[keep]
-    return a
+    return a[run_starts(a)] if a.size > 1 else a
 
 
 def _csr_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ContactGraph, generate_graph
+from .graphs import ContactGraph, generate_graph, run_starts
 from .params import EpidemicParams, ModelError, write_csv
 
 SUSCEPTIBLE = 0
@@ -167,10 +167,7 @@ def _tally(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if a.size == 0:
         return a, a
     a = np.sort(a)
-    first = np.empty(a.size, dtype=bool)
-    first[0] = True
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(run_starts(a))
     return a[starts], np.diff(starts, append=a.size)
 
 
@@ -392,10 +389,6 @@ class NetworkEnsembleStats:
             var = (dev * dev).sum(axis=0) / (valid - 1)
         var[valid < 2] = np.nan
         return np.sqrt(var)
-
-    def stderr_inf_degree(self) -> np.ndarray:
-        valid = np.sum(~np.isnan(self.mean_inf_degree), axis=0)
-        return self.stddev_inf_degree() / np.sqrt(np.maximum(valid, 1))
 
 
 def run_ensemble(

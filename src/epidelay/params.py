@@ -37,7 +37,7 @@ class EpidemicParams:
     """Core rate parameters shared by every model variant.
 
     rho:     per-contact transmission rate (1/day), in [0, 1]
-    gamma:   recovery rate (1/day), finite and > 0
+    gamma:   recovery rate (1/day), > 0 with 1/gamma finite
     alpha:   fraction of new cases eventually isolated, in [0, 1]
     t_delay: days between infection and isolation, finite and >= 0
     """
@@ -50,8 +50,8 @@ class EpidemicParams:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ModelError(f"rho must be in [0, 1], got {self.rho}")
-        if not 0.0 < self.gamma < math.inf:
-            raise ModelError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not (0.0 < self.gamma < math.inf and 1.0 / self.gamma < math.inf):
+            raise ModelError(f"gamma must be finite and > 0 with 1/gamma finite, got {self.gamma}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ModelError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 <= self.t_delay < math.inf:

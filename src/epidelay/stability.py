@@ -232,6 +232,8 @@ def model_char_params(beta_h: float, params: EpidemicParams) -> CharacteristicPa
 
 def _bound_for_mixing_rate(beta_h: float, params: EpidemicParams) -> StabilityVerdict:
     g, al = params.gamma, params.alpha
+    if not math.isfinite(beta_h):
+        raise ModelError(f"mixing rate beta_h = {beta_h} is not finite")
     if beta_h <= g:
         kind, t_max = VerdictKind.UNCONDITIONALLY_STABLE, math.inf
     elif al <= 1.0 - g / beta_h:
@@ -239,6 +241,8 @@ def _bound_for_mixing_rate(beta_h: float, params: EpidemicParams) -> StabilityVe
     else:
         kind = VerdictKind.STABLE_UP_TO
         t_max = math.log(al * beta_h / (beta_h - g)) / g
+        if not math.isfinite(t_max):
+            raise ModelError(f"delay bound t_max = {t_max} is not finite (gamma = {g})")
     return StabilityVerdict(kind=kind, t_max=t_max, char_params=model_char_params(beta_h, params))
 
 

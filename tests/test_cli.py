@@ -105,6 +105,34 @@ class TestClassify:
         assert run_cli("classify", *argv, "--alpha", "0.8") == 1
         assert capsys.readouterr().err.startswith(f"error: {name} must be")
 
+    @pytest.mark.parametrize("command,argv,message", [
+        # 1/gamma overflows: this read stable_up_to at t_max inf (alpha 0.9)
+        # and infeasible with margin 0 (alpha 0.5)
+        ("classify", ["--r0", "2", "--alpha", "0.9", "--gamma", "1e-320"], "gamma must be"),
+        ("classify", ["--r0", "2", "--alpha", "0.5", "--gamma", "1e-320"], "gamma must be"),
+        ("bound", ["--r0-range", "2:3:1", "--alpha", "0.9", "--gamma", "1e-320"],
+         "gamma must be"),
+        # 1/gamma is finite, but t_max = ln(0.9e10)/gamma is not
+        ("classify", ["--r0", "1.0000000001", "--alpha", "0.9", "--gamma", "1e-308"],
+         "delay bound t_max = inf"),
+        ("bound", ["--r0-range", "1.0000000001:1.0000000001:1", "--alpha", "0.9",
+                   "--gamma", "1e-308"], "delay bound t_max = inf"),
+        # beta_h = R0*gamma overflows; this printed beta_h=inf, then failed
+        ("classify", ["--r0", "1e308", "--gamma", "10", "--alpha", "0.5"],
+         "mixing rate beta_h = inf"),
+        ("bound", ["--r0-range", "1e308:1e308:1", "--gamma", "10", "--alpha", "0.5"],
+         "mixing rate beta_h = inf"),
+    ])
+    def test_non_finite_bound_fails_before_output(self, command, argv, message, tmp_path,
+                                                  capsys):
+        out = tmp_path / "out.csv"
+        extra = ["--out", str(out)] if command == "bound" else ["--t-delay", "1"]
+        assert run_cli(command, *argv, *extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert not out.exists()
+
     def test_out_file_and_sidecar(self, tmp_path):
         out = tmp_path / "verdict.txt"
         assert run_cli("classify", "--r0", "3", "--alpha", "0.8", "--out", str(out)) == 0

@@ -354,8 +354,7 @@ ORACLE_SYSTEMS = ("homogeneous", "reduced", "frozen", "dynamic", "alpha-by-degre
 
 def spy_lookups(monkeypatch):
     """Count the delayed-lookup segments the kernels step and those they
-    gather in one pass; the rest combine each lookup in Python (the float
-    kernel's short segments)."""
+    gather in one pass."""
     seen = {"segments": 0, "gathered": 0}
     plain_segments, plain_delayed = dde._segments, dde._delayed
 
@@ -375,8 +374,7 @@ def spy_lookups(monkeypatch):
 
 class TestStepperOracle:
     # at dt 0.05 the delays are 4 (the least allowed), 7.4, 20 and 26 steps;
-    # the float kernel combines the lookups of the first two in Python and
-    # gathers the others
+    # both kernels gather every segment of each
     @pytest.mark.parametrize("rate", [0.0, 0.05])
     @pytest.mark.parametrize("tau", [0.0, 0.2, 0.37, 1.0, 1.3])
     @pytest.mark.parametrize("system", ORACLE_SYSTEMS)
@@ -394,9 +392,6 @@ class TestStepperOracle:
             assert same_bits(traj.sample(t), ref_sample(t)), t
         if tau == 0.0:
             assert seen == {"segments": 0, "gathered": 0}
-        elif system in ("homogeneous", "reduced"):
-            assert (seen["gathered"] > 0) == (tau >= 1.0)
-            assert (seen["gathered"] < seen["segments"]) == (tau < 1.0)
         else:
             assert seen["gathered"] == seen["segments"] > 0
 
@@ -441,10 +436,10 @@ class TestStepperOracle:
 
 
 class TestMemory:
-    # 1.5e4 steps, 0.48 MB of states and derivatives; the delays take the
-    # float kernel's Python lookups (4 steps) and its gathers (50 steps).
-    # Keeping every node as a Python list peaked near 12 times the arrays;
-    # the window peaks near 2 times (the time grid is a quarter of that).
+    # 1.5e4 steps, 0.48 MB of states and derivatives; the delays give the
+    # float kernel segments of 3-4 and 49-50 steps, whose node lists it
+    # writes into the arrays as each ends. Keeping every node as a Python
+    # list peaked near 12 times the arrays; this peaks near 1.5 times.
     @pytest.mark.parametrize("tau", [0.04, 0.5])
     def test_float_kernel_keeps_a_bounded_window(self, tau):
         p = EpidemicParams(rho=0.02, gamma=0.1, alpha=0.9, t_delay=tau)

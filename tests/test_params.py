@@ -114,6 +114,8 @@ class TestEpidemicParams:
         dict(rho=0.1, gamma=math.nan, alpha=0.5, t_delay=0.0),
         dict(rho=0.1, gamma=0.1, alpha=0.5, t_delay=math.inf),
         dict(rho=0.1, gamma=0.1, alpha=0.5, t_delay=math.nan),
+        # subnormal: 1/gamma overflows
+        dict(rho=0.1, gamma=1e-320, alpha=0.5, t_delay=0.0),
     ])
     def test_invariants_rejected(self, kwargs):
         with pytest.raises(ModelError):
