@@ -27,26 +27,26 @@ already-completed history; at tau = 0 each stage reads its own state as the
 delayed one. dt and the horizon must be finite, and the time grid may hold
 at most MAX_GRID_VALUES values.
 
-The scheme runs in one of two kernels, chosen by the system. The
-partitioned systems step whole state vectors as numpy expressions
-(_rk4_arrays), so the Python cost of a step does not grow with the number
-of degrees. The homogeneous and reduced systems have two or three
-components, for which a numpy call costs more than its arithmetic, so they
-step lists of Python floats (_rk4_floats). Both evaluate every component in
-the same IEEE operation order. Integration is bit-for-bit reproducible for
-identical inputs.
+_integrate is the one method-of-steps driver. Where a delayed lookup falls
+depends on the time grid and tau, not on the state, so it plans the lookups
+of a block of _BLOCK steps at once (_plan): one vectorised _hermite call
+gives every query its node index and Hermite weights, with a scalar loop's
+operations in its order. It splits the block into segments whose lookups
+read only nodes computed before the segment starts, about tau/dt - 1 steps
+each. For each segment it gathers the delayed states in one numpy pass
+(_delayed), hands them to the system's stepper, and stops the run with
+IntegrationError at the first step whose state passed the blow-up cap.
+Trajectory.sample goes through _hermite and _gather too, so there is one
+dense-output routine. Beyond the node arrays a run's working memory is
+bounded by _BLOCK and _GATHER_VALUES, not by the length of the grid.
 
-Where a delayed lookup falls depends on the time grid and tau, not on the
-state. So the lookups of a block of _BLOCK steps are planned at once
-(_plan): one vectorised _hermite call gives every query its node index and
-Hermite weights, with a scalar loop's operations in its order. The steps
-then run in segments whose lookups read only nodes computed before the
-segment starts (_segments, the method of steps): about tau/dt - 1 steps
-each. Both kernels gather a segment's delayed states in one numpy pass
-(_gather) before its steps run. Trajectory.sample goes through _hermite and
-_gather too, so there is one dense-output routine. Beyond the node arrays a
-run's working memory is bounded by _BLOCK and _GATHER_VALUES, not by the
-length of the grid.
+The two steppers run one segment's RK4 steps each. The partitioned systems
+step whole state vectors as numpy expressions (_rk4_arrays), so the Python
+cost of a step does not grow with the number of degrees. The homogeneous
+and reduced systems have two or three components, for which a numpy call
+costs more than its arithmetic, so they step lists of Python floats
+(_rk4_floats). Both evaluate every component in the same IEEE operation
+order. Integration is bit-for-bit reproducible for identical inputs.
 """
 
 from __future__ import annotations
@@ -186,8 +186,8 @@ def _gather(states, derivs, i, w00, w10, w01, w11):
             + w01[:, None] * states.take(j, 0) + w11[:, None] * derivs.take(j, 0))
 
 
-# Most values one gather of the array kernel holds (512 KB): a segment of a
-# system with many components gathers in pieces.
+# Most values one segment's gather holds (512 KB): a system with many
+# components steps shorter segments.
 _GATHER_VALUES = 1 << 16
 
 # Steps whose delayed lookups are planned at once. A block's plan holds a
@@ -222,40 +222,9 @@ def _plan(times, b0, b1, dt, tau):
     return (q, i, *weights), np.searchsorted(top, steps).tolist()
 
 
-def _segments(times, dt, tau, most=_BLOCK):
-    """Split the steps into segments whose delayed lookups read only nodes
-    computed before the segment starts (method of steps), planning them a
-    block at a time.
-
-    Yields (m0, tl, lookups, r0): the segment runs steps m0..m0 + len(tl) - 2,
-    at most `most` of them; tl holds their node times as floats, and its
-    lookups are the rows r0..r0 + 2*(len(tl) - 1) of the block's lookups
-    (None at tau = 0). A segment that the block's end cuts short is planned
-    again with the next block unless it is the block's first.
-    """
-    n = len(times) - 1
-    b0 = 0
-    while b0 < n:
-        b1 = min(b0 + _BLOCK, n)
-        tl = times[b0:b1 + 1].tolist()
-        if tau == 0.0:
-            ends = [b1 - b0] * (b1 - b0)
-            lookups = None
-        else:
-            lookups, ends = _plan(times, b0, b1, dt, tau)
-        k = 0
-        while k < b1 - b0:
-            e = min(ends[k], k + most)
-            if e == b1 - b0 and 0 < k and b1 < n:
-                break
-            yield b0 + k, tl[k:e + 1], lookups, 2 * k
-            k = e
-        b0 += k
-
-
-def _delayed(lookups, r0, r1, states, derivs, history, t0):
+def _delayed(lookups, r0, r1, states, derivs, history):
     """Delayed states of lookup rows r0..r1-1 as one 2-D array: gathered
-    from the nodes, or the history's for queries at or before t0."""
+    from the nodes, or the history's for queries at or before time 0."""
     q, i, *weights = (a[r0:r1] for a in lookups)
     if i[0] >= 0:
         return _gather(states, derivs, i, *weights)
@@ -264,112 +233,95 @@ def _delayed(lookups, r0, r1, states, derivs, history, t0):
     out = np.empty((r1 - r0, states.shape[1]))
     out[past:] = _gather(states, derivs, i[past:], *(w[past:] for w in weights))
     for r in range(past):
-        out[r] = history(float(q[r]) - t0)
+        out[r] = history(float(q[r]))
     return out
 
 
-def _rk4_arrays(rhs, times, states, derivs, dt, tau, history, cap):
-    """Method-of-steps RK4 with each stage one whole-vector expression,
-    written into the preallocated node arrays as it goes.
+def _rk4_arrays(rhs, tl, states, derivs, m0, dels, cap):
+    """RK4 steps m0..m0 + len(tl) - 2 of a segment at the node times tl,
+    each stage one whole-vector expression, written into the node arrays.
 
-    rhs(y, y_del) returns the derivative as a new array; at tau = 0 it is
-    given the stage state itself as the delayed state. Each segment's
-    delayed states are gathered in one pass before its steps run. Returns
-    the number of steps completed: fewer than len(times) - 1 when the state
-    passed `cap` or stopped being finite, the failed step's start being the
-    last trusted node.
+    rhs(y, y_del) returns the derivative as a new array. dels holds the
+    delayed states, two rows a step, or is None at tau = 0, where each stage
+    is its own delayed state. Returns the steps done: fewer than
+    len(tl) - 1 when the state passed `cap` or stopped being finite.
     """
-    t0 = float(times[0])
-    lag = tau > 0.0
-    y_del = history((t0 - tau) - t0) if lag else states[0]
-    derivs[0] = rhs(states[0], y_del)
-    # a gathered array holds at most _GATHER_VALUES values (or one step's)
-    most = max(1, _GATHER_VALUES // (2 * states.shape[1]))
-    for m0, tl, lookups, r0 in _segments(times, dt, tau, most):
+    lag = dels is not None
+    for j in range(len(tl) - 1):
+        m = m0 + j
+        t = tl[j]
+        h = tl[j + 1] - t
+        half = 0.5 * h
+        y, d = states[m], derivs[m]
+
+        # stages 2 and 3 share the delayed lookup at t + h/2 - tau
         if lag:
-            dels = _delayed(lookups, r0, r0 + 2 * (len(tl) - 1), states, derivs, history, t0)
-        for j in range(len(tl) - 1):
-            m = m0 + j
-            t = tl[j]
-            h = tl[j + 1] - t
-            half = 0.5 * h
-            y, d = states[m], derivs[m]
+            y_del = dels[2 * j]
+        y_tmp = y + half * d
+        k2 = rhs(y_tmp, y_del if lag else y_tmp)
+        y_tmp = y + half * k2
+        k3 = rhs(y_tmp, y_del if lag else y_tmp)
 
-            # stages 2 and 3 share the delayed lookup at t + h/2 - tau
-            if lag:
-                y_del = dels[2 * j]
-            y_tmp = y + half * d
-            k2 = rhs(y_tmp, y_del if lag else y_tmp)
-            y_tmp = y + half * k2
-            k3 = rhs(y_tmp, y_del if lag else y_tmp)
+        # stage 4 and the next node derivative share the lookup at t + h - tau
+        if lag:
+            y_del = dels[2 * j + 1]
+        y_tmp = y + h * k3
+        k4 = rhs(y_tmp, y_del if lag else y_tmp)
 
-            # stage 4 and the next node derivative share the lookup at t + h - tau
-            if lag:
-                y_del = dels[2 * j + 1]
-            y_tmp = y + h * k3
-            k4 = rhs(y_tmp, y_del if lag else y_tmp)
-
-            y_new = y + (h / 6.0) * (d + 2.0 * k2 + 2.0 * k3 + k4)
-            peak = float(np.abs(y_new).max())
-            if not math.isfinite(peak) or peak > cap:
-                return m
-            states[m + 1] = y_new
-            derivs[m + 1] = rhs(y_new, y_del if lag else y_new)
-    return len(times) - 1
+        y_new = y + (h / 6.0) * (d + 2.0 * k2 + 2.0 * k3 + k4)
+        # the ufunc reduction skips max()'s Python wrapper; NaN propagates
+        peak = np.maximum.reduce(np.abs(y_new))
+        if not math.isfinite(peak) or peak > cap:
+            return j
+        states[m + 1] = y_new
+        derivs[m + 1] = rhs(y_new, y_del if lag else y_new)
+    return len(tl) - 1
 
 
-def _rk4_floats(rhs, times, states, derivs, dt, tau, history, cap):
-    """The same method-of-steps RK4 on lists of Python floats, one list per
-    node.
+def _rk4_floats(rhs, tl, states, derivs, m0, dels, cap):
+    """The same RK4 segment on lists of Python floats, one list per node.
 
     For the two- and three-component systems a numpy call costs more than
-    the arithmetic it would do, so this kernel evaluates every expression of
-    _rk4_arrays component by component in the same order, giving the same
-    bits. rhs(y, y_del) takes and returns sequences of floats. Each segment
-    gathers its delayed states from `states` and `derivs` before its steps
-    run and writes its nodes there when they end. Returns the number of
-    steps completed, as _rk4_arrays does.
+    the arithmetic it would do, so this stepper evaluates every expression
+    of _rk4_arrays component by component in the same order, giving the
+    same bits. rhs(y, y_del) takes and returns sequences of floats. The
+    segment's nodes are written into `states` and `derivs` when it ends.
+    Returns the number of steps done, as _rk4_arrays does.
     """
-    t0 = float(times[0])
-    lag = tau > 0.0
-    y = states[0].tolist()
-    y_del = history((t0 - tau) - t0).tolist() if lag else y
-    d = rhs(y, y_del)
-    derivs[0] = d
-    for m0, tl, lookups, r0 in _segments(times, dt, tau):
-        steps = len(tl) - 1
+    lag = dels is not None
+    if lag:
+        dels = dels.tolist()
+    y, d = states[m0].tolist(), derivs[m0].tolist()
+    ys, ds = [], []
+    for j in range(len(tl) - 1):
+        t = tl[j]
+        h = tl[j + 1] - t
+        half = 0.5 * h
+
         if lag:
-            dels = _delayed(lookups, r0, r0 + 2 * steps, states, derivs, history, t0).tolist()
-        ys, ds = [], []
-        for j in range(steps):
-            t = tl[j]
-            h = tl[j + 1] - t
-            half = 0.5 * h
+            y_del = dels[2 * j]
+        y_tmp = [a + half * b for a, b in zip(y, d)]
+        k2 = rhs(y_tmp, y_del if lag else y_tmp)
+        y_tmp = [a + half * b for a, b in zip(y, k2)]
+        k3 = rhs(y_tmp, y_del if lag else y_tmp)
 
-            if lag:
-                y_del = dels[2 * j]
-            y_tmp = [a + half * b for a, b in zip(y, d)]
-            k2 = rhs(y_tmp, y_del if lag else y_tmp)
-            y_tmp = [a + half * b for a, b in zip(y, k2)]
-            k3 = rhs(y_tmp, y_del if lag else y_tmp)
+        if lag:
+            y_del = dels[2 * j + 1]
+        y_tmp = [a + h * b for a, b in zip(y, k3)]
+        k4 = rhs(y_tmp, y_del if lag else y_tmp)
 
-            if lag:
-                y_del = dels[2 * j + 1]
-            y_tmp = [a + h * b for a, b in zip(y, k3)]
-            k4 = rhs(y_tmp, y_del if lag else y_tmp)
-
-            h6 = h / 6.0
-            y_new = [a + h6 * (b + 2.0 * c + 2.0 * e + f)
-                     for a, b, c, e, f in zip(y, d, k2, k3, k4)]
-            for v in y_new:
-                if not math.isfinite(v) or abs(v) > cap:
-                    return m0 + j
-            y, d = y_new, rhs(y_new, y_del if lag else y_new)
-            ys.append(y)
-            ds.append(d)
-        states[m0 + 1:m0 + 1 + steps] = ys
-        derivs[m0 + 1:m0 + 1 + steps] = ds
-    return len(times) - 1
+        h6 = h / 6.0
+        y_new = [a + h6 * (b + 2.0 * c + 2.0 * e + f)
+                 for a, b, c, e, f in zip(y, d, k2, k3, k4)]
+        for v in y_new:
+            if not math.isfinite(v) or abs(v) > cap:
+                return j
+        y, d = y_new, rhs(y_new, y_del if lag else y_new)
+        ys.append(y)
+        ds.append(d)
+    states[m0 + 1:m0 + len(tl)] = ys
+    derivs[m0 + 1:m0 + len(tl)] = ds
+    return len(tl) - 1
 
 
 def _make_times(t_end: float, dt: float) -> np.ndarray:
@@ -399,12 +351,35 @@ def _integrate(kernel, rhs, history, components, t_end, dt, tau, cap):
     states = np.empty((len(times), len(y0)), dtype=np.float64)
     derivs = np.empty_like(states)
     states[0] = y0
-    last = kernel(rhs, times, states, derivs, dt, tau, history, cap)
-    if last < len(times) - 1:
-        raise IntegrationError(
-            f"state magnitude exceeded cap {cap:g} after t={times[last]:.6g}",
-            t_last=float(times[last]),
-        )
+    lag = tau > 0.0
+    y_del = history(-tau) if lag else y0
+    # overflow is silent here, as in the float steppers; the cap stops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        derivs[0] = rhs(y0, y_del)
+    # a segment gathers at most _GATHER_VALUES values (or one step's); one
+    # that its block's end cuts short is planned again with the next block
+    # unless it is the block's first
+    most = max(1, _GATHER_VALUES // (2 * len(y0)))
+    n = len(times) - 1
+    b0 = 0
+    while b0 < n:
+        b1 = min(b0 + _BLOCK, n)
+        tl = times[b0:b1 + 1].tolist()
+        lookups, ends = _plan(times, b0, b1, dt, tau) if lag else (None, [b1 - b0] * (b1 - b0))
+        k = 0
+        while k < b1 - b0:
+            e = min(ends[k], k + most)
+            if e == b1 - b0 and 0 < k and b1 < n:
+                break
+            m0 = b0 + k
+            dels = _delayed(lookups, 2 * k, 2 * e, states, derivs, history) if lag else None
+            done = kernel(rhs, tl[k:e + 1], states, derivs, m0, dels, cap)
+            if done < e - k:
+                t_last = float(times[m0 + done])
+                raise IntegrationError(
+                    f"state magnitude exceeded cap {cap:g} after t={t_last:.6g}", t_last=t_last)
+            k = e
+        b0 += k
     return Trajectory(times=times, states=states, derivs=derivs,
                       components=tuple(components), history=history)
 

@@ -231,6 +231,17 @@ def _exposures(graph: ContactGraph, status: np.ndarray,
     return _push(graph, status, spreaders)
 
 
+def _delay_days(params: EpidemicParams, last_day: int) -> int:
+    """The isolation delay in whole days, round(t_delay); ModelError when
+    the isolation day it gives a node infected on last_day would not fit
+    the int64 iso_day."""
+    t_days = int(round(params.t_delay))
+    if last_day + t_days > np.iinfo(np.int64).max:
+        raise ModelError(f"t_delay {params.t_delay:g} is too long: isolation days after "
+                         f"day {last_day} would not fit int64")
+    return t_days
+
+
 def init_state(graph: ContactGraph, seeds: np.ndarray, params: EpidemicParams,
                rng: np.random.Generator) -> EpidemicState:
     """Day-FIRST_DAY state with the given seed nodes infectious and the
@@ -240,7 +251,7 @@ def init_state(graph: ContactGraph, seeds: np.ndarray, params: EpidemicParams,
     status = np.zeros(n, dtype=np.int8)
     iso_day = np.full(n, -1, dtype=np.int64)
     status[seeds] = INFECTIOUS
-    t_days = int(round(params.t_delay))
+    t_days = _delay_days(params, FIRST_DAY)
     picked = seeds[rng.random(len(seeds)) < params.alpha]
     iso_day[picked] = FIRST_DAY + t_days
     if t_days == 0:
@@ -293,7 +304,7 @@ def step_day(graph: ContactGraph, state: EpidemicState, params: EpidemicParams,
         # them, and the generator still moves past the whole draw
         _uniform_at(rng, n, infect[:0])
         schedule = infect if params.alpha == 1.0 else infect[:0]
-    state.iso_day[schedule] = day + 1 + int(round(params.t_delay))
+    state.iso_day[schedule] = day + 1 + _delay_days(params, day + 1)
     alive = alive[~recovers]
     if (len(alive) + len(infect)) * _SCAN_COST > n:
         alive = np.flatnonzero((status == INFECTIOUS) | (status == ISOLATED))
@@ -419,6 +430,7 @@ def run_ensemble(
         raise ModelError(f"base_seed must be >= 0, got {base_seed}")
     if not 1 <= threads <= MAX_THREADS:
         raise ModelError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
+    _delay_days(params, FIRST_DAY + days - 1)
     shared = spec.build(np.random.SeedSequence(base_seed, spawn_key=(0, 0))) if reuse_graph else None
 
     def one_run(run: int) -> RunResult:

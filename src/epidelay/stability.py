@@ -180,12 +180,23 @@ def rightmost_root(cp: CharacteristicParams) -> complex:
     imaginary part is returned. For coefficients produced by the isolation
     model the branch argument never drops below -1/e (it equals
     -alpha*u*exp(-u) with u = beta_h*tau), so the complex path only
-    triggers for general inputs.
+    triggers for general inputs. A non-finite x raises ModelError.
     """
     a, b, tau = cp.a, cp.b, cp.tau
     if tau == 0.0:
         return complex(a + b, 0.0)
-    x = b * tau * math.exp(-a * tau)
+    try:
+        x = b * tau * math.exp(-a * tau)
+    except OverflowError:
+        # exp(-a*tau) passes the largest double (a < 0), though x itself
+        # may not: for the isolation model b*tau*exp(-a*tau) is tiny
+        try:
+            x = math.copysign(math.exp(math.log(abs(b)) + math.log(tau) - a * tau), b) if b else 0.0
+        except OverflowError:
+            x = math.inf
+    if not math.isfinite(x):
+        raise ModelError(f"rightmost_root: branch argument b*tau*exp(-a*tau) is not finite "
+                         f"for {cp}")
     if x >= _BRANCH_POINT:
         return complex(a + _lambert_w0(x) / tau, 0.0)
 

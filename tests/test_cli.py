@@ -133,6 +133,18 @@ class TestClassify:
         assert captured.err.startswith(f"error: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--r0", "0.9", "--alpha", "0", "--t-delay", "1e5"],
+        ["--r0", "0.5", "--alpha", "0.5", "--t-delay", "1e300"],
+    ])
+    def test_huge_delay_root(self, argv, capsys):
+        # exp(-a*tau) overflows here, though x = b*tau*exp(-a*tau) is tiny;
+        # this printed the headline, then an OverflowError
+        assert run_cli("classify", *argv) == 0
+        fields = parse_machine_line(capsys.readouterr().out.splitlines()[-1])
+        beta_h = float(argv[1]) * 0.1
+        assert float(fields["margin"]) == pytest.approx(beta_h - 0.1, abs=1e-12)
+
     def test_out_file_and_sidecar(self, tmp_path):
         out = tmp_path / "verdict.txt"
         assert run_cli("classify", "--r0", "3", "--alpha", "0.8", "--out", str(out)) == 0
@@ -478,6 +490,32 @@ class TestNetsim:
                        "--runs", "4", "--threads", "2", "--days", days, "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith(f"error: days must be >= 1, got {days}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["0", "0.5", "1"])
+    @pytest.mark.parametrize("t_delay", ["9.3e18", "1e19", "1e300"])
+    def test_huge_delay_refused_before_any_graph(self, t_delay, alpha, tmp_path, capsys,
+                                                 monkeypatch):
+        # the isolation day passes int64; this ended in an OverflowError
+        # after the graphs were built
+        def no_build(*args, **kwargs):
+            raise AssertionError("graph built before the delay was checked")
+
+        monkeypatch.setattr(netsim, "generate_graph", no_build)
+        out = tmp_path / "runs.csv"
+        assert run_cli("netsim", "--graph", "config-poisson", "--nodes", "1000", "--runs", "2",
+                       "--days", "5", "--alpha", alpha, "--t-delay", t_delay,
+                       "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: t_delay {float(t_delay):g} is too long")
+        assert not out.exists()
+
+    def test_delay_that_fits_int64_runs(self, tmp_path):
+        out = tmp_path / "runs.csv"
+        assert run_cli("netsim", "--graph", "config-poisson", "--nodes", "1000", "--runs", "2",
+                       "--days", "5", "--alpha", "0.5", "--t-delay", "1e18",
+                       "--out", str(out)) == 0
+        assert out.exists()
 
     def test_default_aggregate_path_in_dotted_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -353,21 +353,23 @@ ORACLE_SYSTEMS = ("homogeneous", "reduced", "frozen", "dynamic", "alpha-by-degre
 
 
 def spy_lookups(monkeypatch):
-    """Count the delayed-lookup segments the kernels step and those they
-    gather in one pass."""
+    """Count the segments the steppers are given delayed states for and the
+    delayed-state gathers."""
     seen = {"segments": 0, "gathered": 0}
-    plain_segments, plain_delayed = dde._segments, dde._delayed
+    plain_delayed = dde._delayed
 
-    def segments(*args):
-        for segment in plain_segments(*args):
-            seen["segments"] += segment[2] is not None
-            yield segment
+    def spy(stepper):
+        def step(rhs, tl, states, derivs, m0, dels, cap):
+            seen["segments"] += dels is not None
+            return stepper(rhs, tl, states, derivs, m0, dels, cap)
+        return step
 
     def delayed(*args):
         seen["gathered"] += 1
         return plain_delayed(*args)
 
-    monkeypatch.setattr(dde, "_segments", segments)
+    for name in ("_rk4_arrays", "_rk4_floats"):
+        monkeypatch.setattr(dde, name, spy(getattr(dde, name)))
     monkeypatch.setattr(dde, "_delayed", delayed)
     return seen
 
@@ -396,19 +398,49 @@ class TestStepperOracle:
             assert seen["gathered"] == seen["segments"] > 0
 
     # at rho 0.3 these grow through the cap mid-run; the reduced runs and the
-    # frozen one at 0.37 fail past the first step of a segment. The dynamic
-    # system is bounded by its partition sizes
+    # frozen one at 0.37 fail past the first step of a segment, and at tau 0
+    # a whole block is one segment. The dynamic system is bounded by its
+    # partition sizes
     @pytest.mark.parametrize("system,cap", [
         ("reduced", 1.0), ("frozen", 1e4), ("alpha-by-degree", 1e5),
     ])
     def test_blow_up_stops_where_the_loop_does(self, system, cap):
-        for tau in (0.37, 0.2):
+        for tau in (0.37, 0.2, 0.0):
             run, (status, last, times, _, _), _ = oracle_case(system, tau, 0.05, rho=0.3,
                                                               cap=cap)
             assert status == 1 and 0 < last < len(times) - 1
             with pytest.raises(IntegrationError) as err:
                 run()
             assert err.value.t_last == float(times[last]), tau
+
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize("system,cap", [("reduced", 1.0), ("frozen", 1e4)])
+    def test_blow_up_at_a_segment_edge(self, system, cap, first, monkeypatch):
+        # a cap between the peak |state| up to node m and the peak at node
+        # m + 1 fails step m: here a segment's first step (none done) or its
+        # last
+        run, (_, last, times, states, _), _ = oracle_case(system, 0.37, 0.05, rho=0.3, cap=cap)
+        starts, done = [], []
+        for name in ("_rk4_arrays", "_rk4_floats"):
+            def step(*args, stepper=getattr(dde, name)):
+                starts.append(args[4])
+                done.append(stepper(*args))
+                return done[-1]
+            monkeypatch.setattr(dde, name, step)
+        with pytest.raises(IntegrationError):
+            run()
+        peaks = np.maximum.accumulate(np.abs(states[:last + 1]).max(axis=1))
+        edges = starts[:-1] if first else [b - 1 for a, b in zip(starts, starts[1:]) if b - 1 > a]
+        m = max(m for m in edges if 0 < m < last and peaks[m + 1] > peaks[m])
+        starts.clear()
+        done.clear()
+        run, (status, last, times, _, _), _ = oracle_case(
+            system, 0.37, 0.05, rho=0.3, cap=0.5 * (peaks[m] + peaks[m + 1]))
+        assert status == 1 and last == m
+        with pytest.raises(IntegrationError) as err:
+            run()
+        assert err.value.t_last == float(times[last])
+        assert starts[-1] + done[-1] == m and (done[-1] == 0) == first
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(system=st.sampled_from(ORACLE_SYSTEMS),

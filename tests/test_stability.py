@@ -189,6 +189,23 @@ class TestRightmostRoot:
             s = rightmost_root(cp)
             assert abs(s - cp.a - cp.b * cmath.exp(-s * cp.tau)) < 1e-9
 
+    def test_overflowing_exponential_with_finite_branch_argument(self):
+        # exp(-a*tau) = exp(800) passes the largest double; x does not
+        cp = CharacteristicParams(a=-0.01, b=0.05 * math.exp(-200.0), tau=8e4)
+        x = 0.05 * 8e4 * math.exp(600.0)
+        s = rightmost_root(cp)
+        assert s.imag == 0.0
+        assert s.real == pytest.approx(cp.a + scipy_lambertw(x, 0).real / cp.tau, rel=1e-12)
+        assert abs(s - cp.a - cp.b * cmath.exp(-s * cp.tau)) < 1e-9
+        # b = 0 leaves the root at a
+        assert rightmost_root(CharacteristicParams(a=-0.01, b=0.0, tau=1e300)) == -0.01 + 0j
+
+    @pytest.mark.parametrize("a,b,tau", [(-1000.0, 1.0, 1.0), (-1e300, 1.0, 1e300),
+                                         (1.0, 1e300, 1e300)])
+    def test_non_finite_branch_argument_refused(self, a, b, tau):
+        with pytest.raises(ModelError, match="not finite"):
+            rightmost_root(CharacteristicParams(a=a, b=b, tau=tau))
+
     def test_complex_pair_matches_scipy_branch(self):
         rng = np.random.default_rng(29)
         found_complex = 0
