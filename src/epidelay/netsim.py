@@ -10,11 +10,14 @@ infectious. Isolation is permanent and only blocks transmission.
 
 Each day sweeps only the frontier: infection is tested only on susceptible
 nodes with an infectious neighbor, recovery only on infectious and isolated
-nodes, and isolation scheduling only on the newly infected. Node v's test
-reads entry v of that day's length-n uniform draw (infection, recovery,
-isolation, in that order). When a test reads few entries, the generator
-jumps to each of them instead of drawing all n (`_uniform_at`); an isolation
-test at alpha 0 or 1 has a certain outcome and reads none.
+nodes, and isolation scheduling only on the newly infected. Scheduled nodes
+wait in cohorts keyed by the day their isolation falls due, so a day
+isolates only the cohort it pops, and a delay past the run isolates no one
+within it. Node v's test reads entry v of that day's length-n uniform draw
+(infection, recovery, isolation, in that order). When a test reads few
+entries, the generator jumps to each of them instead of drawing all n
+(`_uniform_at`); an isolation test at alpha 0 or 1 has a certain outcome
+and reads none.
 
 The exposed nodes and their infectious-neighbor counts come from the CSR
 rows of the spreaders (push). A day with more than n/_SCAN_COST spreaders
@@ -79,14 +82,15 @@ class GraphSpec:
 class EpidemicState:
     """Mutable per-node epidemic state for one run.
 
-    status holds the compartment codes; iso_day is -1 when unset, and the
-    day of infection + round(t_delay) whenever scheduled. alive lists the
-    infectious and isolated nodes ascending, and removed counts the removed
-    ones; step_day keeps both in step with status.
+    status holds the compartment codes. due maps each day still to come to
+    the nodes whose isolation falls due at its start, those scheduled on the
+    day of infection + round(t_delay); it holds no empty cohort. alive lists
+    the infectious and isolated nodes ascending, and removed counts the
+    removed ones; step_day keeps both in step with status.
     """
 
     status: np.ndarray
-    iso_day: np.ndarray
+    due: dict[int, np.ndarray]
     day: int
     alive: np.ndarray
     removed: int
@@ -231,32 +235,21 @@ def _exposures(graph: ContactGraph, status: np.ndarray,
     return _push(graph, status, spreaders)
 
 
-def _delay_days(params: EpidemicParams, last_day: int) -> int:
-    """The isolation delay in whole days, round(t_delay); ModelError when
-    the isolation day it gives a node infected on last_day would not fit
-    the int64 iso_day."""
-    t_days = int(round(params.t_delay))
-    if last_day + t_days > np.iinfo(np.int64).max:
-        raise ModelError(f"t_delay {params.t_delay:g} is too long: isolation days after "
-                         f"day {last_day} would not fit int64")
-    return t_days
-
-
 def init_state(graph: ContactGraph, seeds: np.ndarray, params: EpidemicParams,
                rng: np.random.Generator) -> EpidemicState:
     """Day-FIRST_DAY state with the given seed nodes infectious and the
     isolation scheme already applied to them. The seeds must be distinct,
     as seed_infections returns them."""
-    n = graph.node_count
-    status = np.zeros(n, dtype=np.int8)
-    iso_day = np.full(n, -1, dtype=np.int64)
+    status = np.zeros(graph.node_count, dtype=np.int8)
     status[seeds] = INFECTIOUS
-    t_days = _delay_days(params, FIRST_DAY)
+    t_days = round(params.t_delay)
     picked = seeds[rng.random(len(seeds)) < params.alpha]
-    iso_day[picked] = FIRST_DAY + t_days
+    due = {}
     if t_days == 0:
         status[picked] = ISOLATED
-    return EpidemicState(status=status, iso_day=iso_day, day=FIRST_DAY,
+    elif len(picked):
+        due[FIRST_DAY + t_days] = picked
+    return EpidemicState(status=status, due=due, day=FIRST_DAY,
                          alive=np.sort(seeds), removed=0)
 
 
@@ -304,17 +297,20 @@ def step_day(graph: ContactGraph, state: EpidemicState, params: EpidemicParams,
         # them, and the generator still moves past the whole draw
         _uniform_at(rng, n, infect[:0])
         schedule = infect if params.alpha == 1.0 else infect[:0]
-    state.iso_day[schedule] = day + 1 + _delay_days(params, day + 1)
+    if len(schedule):
+        key = day + 1 + round(params.t_delay)
+        # a cohort already due that day was scheduled under another t_delay
+        if key in state.due:
+            schedule = np.concatenate((state.due[key], schedule))
+        state.due[key] = schedule
     alive = alive[~recovers]
     if (len(alive) + len(infect)) * _SCAN_COST > n:
         alive = np.flatnonzero((status == INFECTIOUS) | (status == ISOLATED))
     else:
         alive = np.sort(np.concatenate((alive, infect)))
-    # isolation falls due only for nodes infectious yesterday or infected
-    # today, and never at alpha 0, where nothing is scheduled
-    if params.alpha > 0.0:
-        due = alive[(status[alive] == INFECTIOUS) & (state.iso_day[alive] == day + 1)]
-        status[due] = ISOLATED
+    cohort = state.due.pop(day + 1, None)
+    if cohort is not None:
+        status[cohort[status[cohort] == INFECTIOUS]] = ISOLATED
     state.alive = alive
     state.removed += len(recover)
     state.day += 1
@@ -430,7 +426,6 @@ def run_ensemble(
         raise ModelError(f"base_seed must be >= 0, got {base_seed}")
     if not 1 <= threads <= MAX_THREADS:
         raise ModelError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
-    _delay_days(params, FIRST_DAY + days - 1)
     shared = spec.build(np.random.SeedSequence(base_seed, spawn_key=(0, 0))) if reuse_graph else None
 
     def one_run(run: int) -> RunResult:

@@ -200,16 +200,27 @@ def rightmost_root(cp: CharacteristicParams) -> complex:
     if x >= _BRANCH_POINT:
         return complex(a + _lambert_w0(x) / tau, 0.0)
 
+    def scaled_exp(c: float, s: complex) -> complex:
+        """c*exp(-s*tau) for c < 0 (b < 0 on this branch), taken from logs
+        where exp(-s*tau) passes the largest double and the product may not."""
+        try:
+            return c * cmath.exp(-s * tau)
+        except OverflowError:
+            return -cmath.exp(math.log(-c) - s * tau)
+
     def f(s: complex) -> complex:
-        return s - a - b * cmath.exp(-s * tau)
+        return s - a - scaled_exp(b, s)
 
     def fprime(s: complex) -> complex:
-        return 1.0 + b * tau * cmath.exp(-s * tau)
+        return 1.0 + scaled_exp(b * tau, s)
 
     s = complex(a - 1.0 / tau, math.pi / (2.0 * tau))
     res = abs(f(s))
     for _ in range(_ROOT_MAX_ITER):
-        if res <= 1e-12:
+        # rounding alone leaves a residual of some ulps of the largest of
+        # |s|, |a| and |s*tau|*|s - a|: b*exp(-s*tau), of size |s - a| near
+        # the root, moves by the ulp of its argument s*tau
+        if res <= max(1e-12, 64.0 * math.ulp(max(abs(s), abs(a), abs(s * tau) * abs(s - a)))):
             return s if s.imag >= 0.0 else s.conjugate()
         step = f(s) / fprime(s)
         # Halve the step while the residual increases (damping).

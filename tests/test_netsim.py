@@ -1,6 +1,7 @@
 import functools
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -115,16 +116,21 @@ class TestStepSemantics:
         rng = np.random.default_rng(3)
         seeds = seed_infections(g, 10, "uniform", rng)
         state = init_state(g, seeds, p, rng)
-        assert np.all(state.iso_day[seeds] == 4)
+        assert pending(state) == {4: sorted(seeds.tolist())}
         assert np.sum(state.status == ISOLATED) == 0
-        # infection day of each node, read off its move out of susceptible
+        # infection day of each node, read off its move out of susceptible,
+        # and the day each scheduled node's cohort falls due
         inf_day = np.full(2000, -1)
         inf_day[seeds] = 1
+        iso_day = np.full(2000, -1)
+        iso_day[seeds] = 4
 
         def step():
             before = state.status == SUSCEPTIBLE
             m = step_day(g, state, p, rng)
             inf_day[before & (state.status != SUSCEPTIBLE)] = state.day
+            for day, cohort in state.due.items():
+                iso_day[cohort] = day
             return m
 
         m1 = step()  # day 2
@@ -133,10 +139,35 @@ class TestStepSemantics:
         m3 = step()  # day 4: survivors of the seed cohort move
         survivors = np.isin(np.arange(2000), seeds) & (state.status == ISOLATED)
         assert m3.isolated == survivors.sum() > 0
+        assert 4 not in state.due
         # every scheduled node respects iso = inf + delay
-        scheduled = state.iso_day >= 0
+        scheduled = iso_day >= 0
         assert np.count_nonzero(scheduled) > 10
-        assert np.all(state.iso_day[scheduled] == inf_day[scheduled] + 3)
+        assert np.all(iso_day[scheduled] == inf_day[scheduled] + 3)
+        assert np.array_equal(scheduled, inf_day >= 0)
+
+    def test_cohorts_scheduled_under_two_delays_meet(self):
+        # the delay drops from 3 days to 2 between days, so the nodes
+        # infected on days 2 and 3 both fall due on day 5
+        g = generate_graph("config-poisson", 2000, 4.0, 9)
+        p3 = base_params(rho=0.5, gamma=1e-3, alpha=1.0, t_delay=3.0)
+        p2 = base_params(rho=0.5, gamma=1e-3, alpha=1.0, t_delay=2.0)
+        rng = np.random.default_rng(3)
+        state = init_state(g, seed_infections(g, 20, "uniform", rng), p3, rng)
+        cohorts = []
+        for p in (p3, p2):
+            before = state.status == SUSCEPTIBLE
+            step_day(g, state, p, rng)
+            cohorts.append(np.flatnonzero(before & (state.status != SUSCEPTIBLE)))
+        assert all(len(c) > 0 for c in cohorts)
+        assert pending(state)[5] == sorted(np.concatenate(cohorts).tolist())
+        step_day(g, state, p2, rng)  # day 4
+        assert np.all(state.status[np.concatenate(cohorts)] != ISOLATED)
+        step_day(g, state, p2, rng)  # day 5
+        assert 5 not in state.due
+        for cohort in cohorts:
+            assert np.all(np.isin(state.status[cohort], (ISOLATED, REMOVED)))
+            assert np.any(state.status[cohort] == ISOLATED)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
     @pytest.mark.parametrize("t_delay", [0.0, 0.4, 2.0])
@@ -151,7 +182,8 @@ class TestStepSemantics:
         state = init_state(g, seeds, p, rng)
         status, iso_day, alive = dense_init_state(g, ref_seeds, p, ref_rng)
         assert np.array_equal(state.status, status)
-        assert np.array_equal(state.iso_day, iso_day)
+        assert pending(state) == dense_pending(iso_day, 1)
+        assert all(len(cohort) > 0 for cohort in state.due.values())
         assert state.alive.dtype == alive.dtype and np.array_equal(state.alive, alive)
         assert np.array_equal(state.alive, _alive(state.status))
         assert (state.day, state.removed) == (1, 0)
@@ -203,10 +235,33 @@ def dense_init_state(graph, seeds, params, rng):
     return status, iso_day, _alive(status)
 
 
+def pending(state):
+    """state.due as {day: ascending node list}."""
+    return {day: sorted(cohort.tolist()) for day, cohort in state.due.items()}
+
+
+def dense_pending(iso_day, day):
+    """The reference's pending isolations after `day`, as pending() gives
+    them: every node whose isolation day is later, grouped by that day."""
+    later = np.flatnonzero(iso_day > day)
+    return {d: later[iso_day[later] == d].tolist() for d in np.unique(iso_day[later]).tolist()}
+
+
+@dataclass
+class DenseState:
+    """The dense reference's own state: compartment codes, each node's
+    isolation day (-1 when unscheduled) and the day number."""
+
+    status: np.ndarray
+    iso_day: np.ndarray
+    day: int
+
+
 def dense_step_day(graph, state, params, rng):
-    """Reference day sweep over the whole graph: a cumsum over every CSR
-    entry counts each node's infectious neighbors, and every transition is
-    a full-length mask. Returns (s, i, r, isolated, mean_inf_degree)."""
+    """Reference day sweep over the whole graph, on a DenseState: a cumsum
+    over every CSR entry counts each node's infectious neighbors, and every
+    transition is a full-length mask. Returns (s, i, r, isolated,
+    mean_inf_degree)."""
     n = graph.node_count
     u_inf = rng.random(n)
     u_rec = rng.random(n)
@@ -268,7 +323,10 @@ def assert_matches_dense(graph, params, seeds=None, days=30, bit_generator=np.ra
     seed_infections(graph, 20, "uniform", ref_rng)
     seeds = drawn if seeds is None else seeds
     state = init_state(graph, seeds, params, rng)
-    ref = init_state(graph, seeds, params, ref_rng)
+    status, iso_day, _ = dense_init_state(graph, seeds, params, ref_rng)
+    ref = DenseState(status, iso_day, 1)
+    assert np.array_equal(state.status, ref.status)
+    assert pending(state) == dense_pending(ref.iso_day, ref.day)
     assert np.array_equal(state.alive, _alive(state.status))
     rng.sizes.clear()
     infectious = []
@@ -280,8 +338,8 @@ def assert_matches_dense(graph, params, seeds=None, days=30, bit_generator=np.ra
         assert (m.day, m.s, m.i, m.r, m.isolated) == (ref.day, s, i, r, iso)
         assert (np.float64(m.mean_inf_degree).view(np.int64)
                 == np.float64(mean_deg).view(np.int64))
-        for name in ("status", "iso_day"):
-            assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+        assert np.array_equal(state.status, ref.status)
+        assert pending(state) == dense_pending(ref.iso_day, ref.day)
         assert np.array_equal(state.alive, _alive(state.status))
         assert state.removed == np.count_nonzero(state.status == REMOVED)
         assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)

@@ -206,6 +206,18 @@ class TestRightmostRoot:
         with pytest.raises(ModelError, match="not finite"):
             rightmost_root(CharacteristicParams(a=a, b=b, tau=tau))
 
+    @pytest.mark.parametrize("a,b", [(-710.0, -1e-300), (-700.0, -1e-290)])
+    def test_complex_branch_far_left(self, a, b):
+        # exp(-s*tau) passes the largest double along the Newton path for
+        # the first pair (an OverflowError), and for the second rounding
+        # alone kept |f| above an absolute 1e-12 (damping stalled)
+        s = rightmost_root(CharacteristicParams(a=a, b=b, tau=1.0))
+        # b*exp(-s) from logs: exp(-s) itself overflows at the root too
+        resid = abs(s - a + cmath.exp(math.log(-b) - s))
+        assert s.imag > 0.0 and resid <= 1e-12 * max(1.0, abs(s), abs(a))
+        x = -math.exp(math.log(-b) - a)  # finite, far below -1/e
+        assert s == pytest.approx(a + complex(scipy_lambertw(x, 0)), rel=1e-14)
+
     def test_complex_pair_matches_scipy_branch(self):
         rng = np.random.default_rng(29)
         found_complex = 0
