@@ -35,7 +35,6 @@ from .params import (
     compute_stats,
     effective_beta,
     load_distribution,
-    reproduction_numbers,
 )
 from .stability import (
     CharacteristicParams,

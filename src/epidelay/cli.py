@@ -53,7 +53,6 @@ from .params import (
     effective_beta,
     format_float,
     load_distribution,
-    reproduction_numbers,
     write_csv,
 )
 from .stability import (
@@ -167,7 +166,6 @@ def cmd_classify(args) -> int:
             else HeterogeneityMode.MIXED_POPULATION
         stats = compute_stats(load_distribution(args.dist), mode)
         verdict = heterogeneous_delay_bound(params, stats)
-        beta_h = effective_beta(params, stats)
     elif args.r0 is not None:
         _refuse(args, "--r0", "--rho")
         if args.fixed_graph:
@@ -177,26 +175,22 @@ def cmd_classify(args) -> int:
                              "mean degree")
         params = EpidemicParams(rho=0.0, gamma=args.gamma, alpha=args.alpha,
                                 t_delay=args.t_delay)
-        r0_h = _scaled_r0(args.r0, 0.0 if args.cv is None else args.cv)
-        verdict = homogeneous_delay_bound(params, r0_h)
-        beta_h = r0_h * args.gamma
+        verdict = homogeneous_delay_bound(params, _scaled_r0(args.r0, args.cv or 0.0))
     else:
         raise ModelError("provide either --dist with --rho, or --r0 (with optional --cv)")
-    r0, re = reproduction_numbers(beta_h, params)
-    kind = verdict.kind
+    kind, root = verdict.kind, verdict.rightmost_root
     if kind is VerdictKind.UNCONDITIONALLY_STABLE:
         headline = "stable at any isolation delay"
     elif kind is VerdictKind.INFEASIBLE_AT_ZERO_DELAY:
         headline = "unstable even at zero delay (isolation fraction too small)"
     else:
         headline = f"stable for delays below {verdict.t_max:.4f} days"
-    print(f"{headline}  [beta_h={beta_h:.6g}/day, R0_eff={r0:.6g}, Re={re:.6g} at t_delay={args.t_delay}]")
-    print(f"rightmost root at t_delay={args.t_delay}: "
-          f"{verdict.rightmost_root.real:.6g} {verdict.rightmost_root.imag:+.6g}i "
+    print(f"{headline}  [beta_h={verdict.beta_h:.6g}/day, R0_eff={verdict.r0:.6g}, "
+          f"Re={verdict.re:.6g} at t_delay={args.t_delay}]")
+    print(f"rightmost root at t_delay={args.t_delay}: {root.real:.6g} {root.imag:+.6g}i "
           f"(margin {verdict.margin:.6g}/day; secondary root at -gamma = {-args.gamma:.6g})")
-    fields = {"t_max_days": verdict.t_max, "root_re": verdict.rightmost_root.real,
-              "root_im": verdict.rightmost_root.imag, "margin": verdict.margin,
-              "r0_eff": r0, "re": re}
+    fields = {"t_max_days": verdict.t_max, "root_re": root.real, "root_im": root.imag,
+              "margin": verdict.margin, "r0_eff": verdict.r0, "re": verdict.re}
     machine = " ".join([f"verdict={kind.value}"]
                        + [f"{key}={format_float(val)}" for key, val in fields.items()])
     print(machine)

@@ -35,7 +35,7 @@ operations in its order. It splits the block into segments whose lookups
 read only nodes computed before the segment starts, about tau/dt - 1 steps
 each. For each segment it gathers the delayed states in one numpy pass
 (_delayed), hands them to the system's stepper, and stops the run with
-IntegrationError at the first step whose state passed the blow-up cap.
+IntegrationError at the first step whose state passed BLOW_UP_CAP.
 Trajectory.sample goes through _hermite and _gather too, so there is one
 dense-output routine. Beyond the node arrays a run's working memory is
 bounded by _BLOCK and _GATHER_VALUES, not by the length of the grid.
@@ -64,6 +64,8 @@ from .params import DegreeDistribution, EpidemicParams, ModelError, effective_be
 # (8 bytes a node, 160 MB for one component) still fit in memory. The
 # steppers' own working memory is bounded by _BLOCK and _GATHER_VALUES.
 MAX_GRID_VALUES = 20_000_000
+
+BLOW_UP_CAP = 1e12  # largest |state| a run may reach; read when _integrate runs
 
 
 class IntegrationError(RuntimeError):
@@ -334,7 +336,7 @@ def _make_times(t_end: float, dt: float) -> np.ndarray:
     return times
 
 
-def _integrate(kernel, rhs, history, components, t_end, dt, tau, cap):
+def _integrate(kernel, rhs, history, components, t_end, dt, tau):
     if not 0.0 < dt < math.inf:
         raise ModelError(f"dt must be finite and > 0, got {dt}")
     if not 0.0 < t_end < math.inf:
@@ -373,11 +375,11 @@ def _integrate(kernel, rhs, history, components, t_end, dt, tau, cap):
                 break
             m0 = b0 + k
             dels = _delayed(lookups, 2 * k, 2 * e, states, derivs, history) if lag else None
-            done = kernel(rhs, tl[k:e + 1], states, derivs, m0, dels, cap)
+            done = kernel(rhs, tl[k:e + 1], states, derivs, m0, dels, BLOW_UP_CAP)
             if done < e - k:
                 t_last = float(times[m0 + done])
-                raise IntegrationError(
-                    f"state magnitude exceeded cap {cap:g} after t={t_last:.6g}", t_last=t_last)
+                raise IntegrationError(f"state magnitude exceeded cap {BLOW_UP_CAP:g} after "
+                                       f"t={t_last:.6g}", t_last=t_last)
             k = e
         b0 += k
     return Trajectory(times=times, states=states, derivs=derivs,
@@ -390,7 +392,6 @@ def integrate_homogeneous(
     history: History,
     t_end: float,
     dt: float = 0.01,
-    cap: float = 1e12,
 ) -> Trajectory:
     """Integrate the nonlinear (S, I, R) system with delayed isolation.
 
@@ -407,7 +408,7 @@ def integrate_homogeneous(
         flow = beta * s * (i - iso * y_del[1])
         return [-flow, flow - gamma * i, gamma * i]
 
-    return _integrate(_rk4_floats, rhs, history, ("s", "i", "r"), t_end, dt, tau, cap)
+    return _integrate(_rk4_floats, rhs, history, ("s", "i", "r"), t_end, dt, tau)
 
 
 def integrate_reduced(
@@ -416,7 +417,6 @@ def integrate_reduced(
     history: History,
     t_end: float,
     dt: float = 0.01,
-    cap: float = 1e12,
 ) -> Trajectory:
     """Integrate the two-dimensional (I, lambda) population-level system,
     with beta_h = effective_beta(params, stats)."""
@@ -429,7 +429,7 @@ def integrate_reduced(
         xi = lam - iso * y_del[1]
         return [mu * xi - gamma * i, beta_h * xi - gamma * lam]
 
-    return _integrate(_rk4_floats, rhs, history, ("i", "lambda"), t_end, dt, tau, cap)
+    return _integrate(_rk4_floats, rhs, history, ("i", "lambda"), t_end, dt, tau)
 
 
 def partition_sizes(dist: DegreeDistribution) -> np.ndarray:
@@ -455,7 +455,6 @@ def integrate_partitioned(
     dt: float = 0.01,
     dynamic_susceptibles: bool = False,
     degree_proportional: bool = False,
-    cap: float = 1e12,
 ) -> Trajectory:
     """Integrate the per-degree infectious counts Y_k, k = 1..max_degree.
 
@@ -499,7 +498,7 @@ def integrate_partitioned(
             return k_n * force(y, y_del) - gamma * y
 
         components = tuple(f"y{k}" for k in range(1, n + 1))
-    return _integrate(_rk4_arrays, rhs, history, components, t_end, dt, tau, cap)
+    return _integrate(_rk4_arrays, rhs, history, components, t_end, dt, tau)
 
 
 def infectious_fraction(traj: Trajectory, dist: DegreeDistribution) -> np.ndarray:

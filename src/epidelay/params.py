@@ -163,17 +163,6 @@ def effective_beta(params: EpidemicParams, stats: DegreeStats) -> float:
     return params.rho * stats.mu * stats.h
 
 
-def reproduction_numbers(beta: float, params: EpidemicParams) -> tuple[float, float]:
-    """Basic and effective reproduction numbers under delayed isolation.
-
-    R0 = beta / gamma; Re = R0 * (1 - alpha * exp(-gamma * t_delay)).
-    Re <= R0 always, with equality when alpha = 0.
-    """
-    r0 = beta / params.gamma
-    re = r0 * (1.0 - params.alpha * math.exp(-params.gamma * params.t_delay))
-    return r0, re
-
-
 def load_distribution(path) -> DegreeDistribution:
     """Read a degree distribution from a two-column `k,count` text file.
 

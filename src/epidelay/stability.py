@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,22 +61,28 @@ class CharacteristicParams:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Delay classification plus the characteristic equation at the queried
-    delay.
+    """The analytic answer for one configuration at its own delay.
 
     t_max is +inf for UNCONDITIONALLY_STABLE, 0.0 for
     INFEASIBLE_AT_ZERO_DELAY and the positive delay bound for STABLE_UP_TO.
-    The rightmost root of char_params is solved each time it is read, so a
-    sweep that writes only kind and t_max solves none. margin is its real
-    part; the queried configuration is asymptotically stable iff margin < 0
-    (a marginal root on the imaginary axis counts as unstable).
+    r0 is the R0 asked for, or beta_h/gamma; re = r0*(1 - alpha*exp(-gamma*
+    t_delay)). The characteristic equation and its rightmost root are
+    solved once, on first read, so a sweep that reads only kind and t_max
+    solves none. margin is the root's real part; stable iff margin < 0 (a
+    marginal root on the imaginary axis counts as unstable).
     """
 
     kind: VerdictKind
     t_max: float
-    char_params: CharacteristicParams
+    beta_h: float
+    r0: float
+    params: EpidemicParams
 
-    @property
+    @functools.cached_property
+    def char_params(self) -> CharacteristicParams:
+        return model_char_params(self.beta_h, self.params)
+
+    @functools.cached_property
     def rightmost_root(self) -> complex:
         return rightmost_root(self.char_params)
 
@@ -86,6 +93,11 @@ class StabilityVerdict:
     @property
     def is_stable(self) -> bool:
         return self.margin < 0.0
+
+    @property
+    def re(self) -> float:
+        p = self.params
+        return self.r0 * (1.0 - p.alpha * math.exp(-p.gamma * p.t_delay))
 
 
 def lambert_w(x: float, branch: str = "principal") -> float:
@@ -175,8 +187,8 @@ def rightmost_root(cp: CharacteristicParams) -> complex:
     with x = b*tau*exp(-a*tau): when x >= -1/e the dominant root is real,
     a + W0(x)/tau. When x < -1/e the dominant roots are a complex-conjugate
     pair, located by damped Newton on the (real, imaginary) residual of
-    f(s) = s - a - b*exp(-s*tau), seeded at the branch-point value
-    a - 1/tau with imaginary part pi/(2*tau); the member with positive
+    f(s) = s - a - b*exp(-s*tau), seeded at a - 1/tau + i*pi/(2*tau) or,
+    below x = -e^3, at the asymptotic W0(x); the member with positive
     imaginary part is returned. For coefficients produced by the isolation
     model the branch argument never drops below -1/e (it equals
     -alpha*u*exp(-u) with u = beta_h*tau), so the complex path only
@@ -214,7 +226,14 @@ def rightmost_root(cp: CharacteristicParams) -> complex:
     def fprime(s: complex) -> complex:
         return 1.0 + scaled_exp(b * tau, s)
 
-    s = complex(a - 1.0 / tau, math.pi / (2.0 * tau))
+    if x < -math.exp(3.0):
+        # from a - 1/tau Newton gains about one unit of Re s a step; here
+        # W0(x) ~ L1 - L2 + L2/L1, L1 the principal log(x), L2 = log(L1)
+        l1 = cmath.log(x)
+        l2 = cmath.log(l1)
+        s = a + (l1 - l2 + l2 / l1) / tau
+    else:
+        s = complex(a - 1.0 / tau, math.pi / (2.0 * tau))
     res = abs(f(s))
     for _ in range(_ROOT_MAX_ITER):
         # rounding alone leaves a residual of some ulps of the largest of
@@ -252,7 +271,7 @@ def model_char_params(beta_h: float, params: EpidemicParams) -> CharacteristicPa
     )
 
 
-def _bound_for_mixing_rate(beta_h: float, params: EpidemicParams) -> StabilityVerdict:
+def _bound_for_mixing_rate(beta_h: float, r0: float, params: EpidemicParams) -> StabilityVerdict:
     g, al = params.gamma, params.alpha
     if not math.isfinite(beta_h):
         raise ModelError(f"mixing rate beta_h = {beta_h} is not finite")
@@ -265,7 +284,7 @@ def _bound_for_mixing_rate(beta_h: float, params: EpidemicParams) -> StabilityVe
         t_max = math.log(al * beta_h / (beta_h - g)) / g
         if not math.isfinite(t_max):
             raise ModelError(f"delay bound t_max = {t_max} is not finite (gamma = {g})")
-    return StabilityVerdict(kind=kind, t_max=t_max, char_params=model_char_params(beta_h, params))
+    return StabilityVerdict(kind=kind, t_max=t_max, beta_h=beta_h, r0=r0, params=params)
 
 
 def homogeneous_delay_bound(params: EpidemicParams, r0: float) -> StabilityVerdict:
@@ -274,19 +293,19 @@ def homogeneous_delay_bound(params: EpidemicParams, r0: float) -> StabilityVerdi
 
     R0 <= 1: stable at any delay. R0 > 1 and alpha <= 1 - 1/R0: unstable
     even at zero delay. Otherwise stable exactly for delays below
-    t_max = (1/gamma) * ln(alpha / (1 - 1/R0)). The rightmost root and
-    margin are evaluated at the configuration's own t_delay.
+    t_max = (1/gamma) * ln(alpha / (1 - 1/R0)).
     """
     if not 0.0 < r0 < math.inf:
         raise ModelError(f"r0 must be finite and > 0, got {r0}")
-    return _bound_for_mixing_rate(r0 * params.gamma, params)
+    return _bound_for_mixing_rate(r0 * params.gamma, r0, params)
 
 
 def heterogeneous_delay_bound(params: EpidemicParams, stats: DegreeStats) -> StabilityVerdict:
     """Delay classification for a heterogeneous population via the scaled
     mixing rate beta_h = rho * mu * h; reduces to the homogeneous bound
     when c_v = 0."""
-    return _bound_for_mixing_rate(effective_beta(params, stats), params)
+    beta_h = effective_beta(params, stats)
+    return _bound_for_mixing_rate(beta_h, beta_h / params.gamma, params)
 
 
 def max_cv(r0: float, alpha: float) -> float | None:

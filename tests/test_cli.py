@@ -13,7 +13,7 @@ from epidelay import netsim, stability
 from epidelay.cli import main
 from epidelay.dde import History, integrate_homogeneous, integrate_reduced
 from epidelay.params import (DegreeStats, EpidemicParams, compute_stats, effective_beta,
-                             load_distribution, write_csv)
+                             format_float, load_distribution, write_csv)
 
 
 def run_cli(*argv) -> int:
@@ -31,6 +31,32 @@ class TestClassify:
         fields = parse_machine_line(out[-1])
         assert fields["verdict"] == "stable_up_to"
         assert float(fields["t_max_days"]) == pytest.approx(math.log(1.2) / 0.1, abs=1e-3)
+
+    def test_r0_path_reports_the_given_r0(self, capsys):
+        # R0 was turned into beta_h = R0*gamma and back, which printed
+        # r0_eff=3.0000000000000004
+        assert run_cli("classify", "--r0", "3", "--alpha", "0.8") == 0
+        fields = parse_machine_line(capsys.readouterr().out.splitlines()[-1])
+        assert fields["r0_eff"] == "3"
+        assert fields["re"] == format_float(3.0 * (1.0 - 0.8))
+
+    @pytest.mark.parametrize("dist", [False, True])
+    def test_solves_the_root_once(self, dist, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "two_point.csv"
+        path.write_text("k,count\n1,500\n7,500\n", encoding="utf-8")
+        argv = ["--dist", str(path), "--rho", "0.075"] if dist else ["--r0", "3", "--cv", "0.5"]
+        solved = []
+        plain = stability.rightmost_root
+
+        def spy(cp):
+            solved.append(cp)
+            return plain(cp)
+
+        monkeypatch.setattr(stability, "rightmost_root", spy)
+        assert run_cli("classify", *argv, "--alpha", "0.8", "--t-delay", "1") == 0
+        fields = parse_machine_line(capsys.readouterr().out.splitlines()[-1])
+        assert len(solved) == 1
+        assert float(fields["root_re"]) == plain(solved[0]).real
 
     def test_infeasible(self, capsys):
         assert run_cli("classify", "--r0", "3", "--alpha", "0.6") == 0
@@ -211,14 +237,19 @@ class TestBound:
     @pytest.mark.parametrize("sweep", [["--r0-range", "0.5:6:0.25"],
                                        ["--cv-range", "0:1.5:0.1", "--r0", "3"]])
     def test_solves_no_root(self, sweep, tmp_path, monkeypatch):
-        # the CSV holds the verdict kind and t_max, neither of which needs a root
+        # the CSV holds the verdict kind and t_max, neither of which needs a
+        # root or the characteristic equation
         args = ["bound", *sweep, "--alpha", "0.5,0.8,1"]
         assert run_cli(*args, "--out", str(tmp_path / "a.csv")) == 0
 
         def no_root(cp):
             raise AssertionError(f"rightmost root solved for {cp}")
 
+        def no_char_params(**coeffs):
+            raise AssertionError(f"characteristic equation built for {coeffs}")
+
         monkeypatch.setattr(stability, "rightmost_root", no_root)
+        monkeypatch.setattr(stability, "CharacteristicParams", no_char_params)
         assert run_cli(*args, "--out", str(tmp_path / "b.csv")) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -116,12 +117,13 @@ class TestHomogeneous:
         assert diffs[0] / diffs[1] == pytest.approx(2.0, rel=0.3)
         assert diffs[1] / diffs[2] == pytest.approx(2.0, rel=0.3)
 
-    def test_blow_up_reports_last_time(self):
+    def test_blow_up_reports_last_time(self, monkeypatch):
         p = EpidemicParams(rho=0.075, gamma=0.1, alpha=0.0, t_delay=0.0)
         stats = DegreeStats.from_mu_cv(4.0, 0.5)
         hist = constant_history([1e-5, 0.375e-5])
+        monkeypatch.setattr(dde, "BLOW_UP_CAP", 1e-3)
         with pytest.raises(IntegrationError) as err:
-            integrate_reduced(p, stats, hist, 200.0, 0.01, cap=1e-3)
+            integrate_reduced(p, stats, hist, 200.0, 0.01)
         assert 0.0 < err.value.t_last < 200.0
 
     def test_dt_vs_delay_precondition(self):
@@ -147,6 +149,29 @@ class TestHomogeneous:
         b = integrate_homogeneous(p, 0.3, hist, 20.0, 0.01)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.times, b.times)
+
+
+    # the homogeneous ops of the analytic-crosscheck benchmark at seed 43,
+    # op (8, 1), and seed 884, op (2, 1), as that benchmark builds them. The
+    # branch arguments, -0.3645 and -0.3668, lie just above -1/e, so a second
+    # real root trails the rightmost one by 0.034 and 0.029/day, and a
+    # log-linear fit over the window reads a mix of both modes
+    @pytest.mark.xfail(strict=True, reason="the growth fit sees only one exponential mode")
+    @pytest.mark.parametrize("p,stats", [
+        (EpidemicParams(rho=0.01733976828648324, gamma=0.09130886295149547,
+                        alpha=0.9922181257204428, t_delay=7.983215647484057),
+         DegreeStats.from_mu_cv(5.521765007242578, 0.48989172289472727)),
+        (EpidemicParams(rho=0.016257734963321717, gamma=0.14243376569923769,
+                        alpha=0.9979322964548305, t_delay=5.2203263772847235),
+         DegreeStats.from_mu_cv(6.687351157098339, 0.8316554775759887)),
+    ], ids=["seed43-op8", "seed884-op2"])
+    def test_growth_meets_root_near_the_branch_point(self, p, stats):
+        beta_h = effective_beta(p, stats)
+        traj = integrate_homogeneous(p, beta_h, constant_history([1.0 - 1e-12, 1e-12, 0.0]),
+                                     100.0, 0.01)
+        fit = estimate_growth_rate(traj, "i", (5.0 * max(1.0 / p.gamma, p.t_delay), 100.0))
+        root = rightmost_root(model_char_params(beta_h, p)).real
+        assert abs(fit.rate - root) <= max(0.02 * abs(root), 1e-3)
 
 
 class TestHistory:
@@ -285,8 +310,9 @@ ORACLE_DIST = DegreeDistribution({1: 300, 2: 250, 3: 200, 4: 150, 6: 100, 9: 60,
 
 def oracle_case(system, tau, rate, rho=0.05, cap=1e12, t_end=30.003, dt=0.05):
     """(run, reference, sample) for one configuration: run() integrates it
-    with the package; reference is (status, last, times, states, derivs)
-    from the loop stepper, and sample(t) its dense output."""
+    with the package at BLOW_UP_CAP = cap; reference is (status, last,
+    times, states, derivs) from the loop stepper, and sample(t) its dense
+    output."""
     dist = ORACLE_DIST
     n = dist.max_degree
     n_k = partition_sizes(dist)
@@ -299,24 +325,23 @@ def oracle_case(system, tau, rate, rho=0.05, cap=1e12, t_end=30.003, dt=0.05):
         hist = History([1.0 - 1e-4, 1e-4, 0.0], rate)
         code, coeffs = SYS_HOMOGENEOUS, [0.3, p.gamma, iso]
 
-        def run():
-            return integrate_homogeneous(p, 0.3, hist, t_end, dt, cap=cap)
+        def integrate():
+            return integrate_homogeneous(p, 0.3, hist, t_end, dt)
     elif system == "reduced":
         stats = DegreeStats.from_mu_cv(4.0, 0.5)
         beta_h = effective_beta(p, stats)
         hist = History([1e-5, beta_h * 1e-5], rate)
         code, coeffs = SYS_REDUCED, [stats.mu, beta_h, p.gamma, iso]
 
-        def run():
-            return integrate_reduced(p, stats, hist, t_end, dt, cap=cap)
+        def integrate():
+            return integrate_reduced(p, stats, hist, t_end, dt)
     elif system == "dynamic":
         hist = History(np.concatenate((n_k - y0, y0)), rate)
         code = SYS_PARTITIONED_DYNAMIC
         coeffs = np.concatenate(([p.gamma, scale], np.full(n, iso)))
 
-        def run():
-            return integrate_partitioned(p, dist, hist, t_end, dt, dynamic_susceptibles=True,
-                                         cap=cap)
+        def integrate():
+            return integrate_partitioned(p, dist, hist, t_end, dt, dynamic_susceptibles=True)
     else:
         hist = History(y0, rate)
         proportional = system == "alpha-by-degree"
@@ -324,9 +349,13 @@ def oracle_case(system, tau, rate, rho=0.05, cap=1e12, t_end=30.003, dt=0.05):
         code = SYS_PARTITIONED_FROZEN
         coeffs = np.concatenate(([p.gamma, scale], isos, n_k))
 
-        def run():
+        def integrate():
             return integrate_partitioned(p, dist, hist, t_end, dt,
-                                         degree_proportional=proportional, cap=cap)
+                                         degree_proportional=proportional)
+
+    def run():
+        with mock.patch.object(dde, "BLOW_UP_CAP", cap):
+            return integrate()
 
     times = _make_times(t_end, dt)
     states = np.empty((len(times), len(hist.y0)))
@@ -556,8 +585,9 @@ class TestReducedSystem:
         assume(abs(verdict.margin) > 0.01 and beta_h > 0.0)
         bound_stable = verdict.kind is VerdictKind.UNCONDITIONALLY_STABLE or (
             verdict.kind is VerdictKind.STABLE_UP_TO and t_delay < verdict.t_max)
-        traj = integrate_reduced(p, stats, constant_history([1e-5, beta_h * 1e-5]), 100.0,
-                                 0.02, cap=1e250)
+        with mock.patch.object(dde, "BLOW_UP_CAP", 1e250):
+            traj = integrate_reduced(p, stats, constant_history([1e-5, beta_h * 1e-5]), 100.0,
+                                     0.02)
         fit = estimate_growth_rate(traj, "lambda", default_fit_window(p, 100.0))
         assert bound_stable == (verdict.margin < 0.0) == (fit.rate < 0.0)
 

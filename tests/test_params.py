@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from epidelay.params import (
     compute_stats,
     effective_beta,
     load_distribution,
-    reproduction_numbers,
     write_csv,
 )
+from epidelay.stability import heterogeneous_delay_bound, homogeneous_delay_bound
 
 
 def moments_oracle(counts: dict[int, int]) -> tuple[float, float, float]:
@@ -152,43 +153,56 @@ class TestEffectiveBeta:
         assert all(b2 >= b1 for b1, b2 in zip(betas, betas[1:]))
 
 
+def verdict_at(beta: float, p: EpidemicParams):
+    """The verdict at mixing rate beta: rho = beta on a population whose
+    every member has one contact (mu 1, cv 0, so h = 1)."""
+    return heterogeneous_delay_bound(replace(p, rho=beta), DegreeStats.from_mu_cv(1.0, 0.0))
+
+
 class TestReproductionNumbers:
     def test_no_isolation(self):
         p = EpidemicParams(rho=0.0, gamma=0.1, alpha=0.0, t_delay=0.0)
-        r0, re = reproduction_numbers(0.3, p)
-        assert r0 == pytest.approx(3.0)
-        assert re == pytest.approx(3.0)
+        v = verdict_at(0.3, p)
+        assert v.r0 == pytest.approx(3.0)
+        assert v.re == pytest.approx(3.0)
+
+    def test_given_r0_is_kept(self):
+        # R0 -> beta_h -> R0 rounded 3 to 3.0000000000000004; the verdict
+        # keeps the R0 it was given, and beta_h/gamma for a mixing rate
+        p = EpidemicParams(rho=0.0, gamma=0.1, alpha=0.8, t_delay=0.0)
+        v = homogeneous_delay_bound(p, 3.0)
+        assert v.r0 == 3.0 and v.beta_h == 3.0 * 0.1
+        assert v.re == 3.0 * (1.0 - 0.8)
+        assert verdict_at(0.3, p).r0 == 0.3 / 0.1
 
     def test_zero_delay(self):
         p = EpidemicParams(rho=0.0, gamma=0.1, alpha=0.8, t_delay=0.0)
-        _, re = reproduction_numbers(0.3, p)
-        assert re == pytest.approx(0.6, abs=1e-12)
+        assert verdict_at(0.3, p).re == pytest.approx(0.6, abs=1e-12)
 
     def test_boundary_delay_gives_unit_re(self):
         t_max = math.log(1.2) / 0.1
         p = EpidemicParams(rho=0.0, gamma=0.1, alpha=0.8, t_delay=t_max)
-        _, re = reproduction_numbers(0.3, p)
-        assert re == pytest.approx(1.0, abs=1e-12)
+        assert verdict_at(0.3, p).re == pytest.approx(1.0, abs=1e-12)
 
     def test_re_never_exceeds_r0(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             p = EpidemicParams(rho=0.0, gamma=rng.uniform(0.05, 0.5),
                                alpha=rng.uniform(0, 1), t_delay=rng.uniform(0, 10))
-            r0, re = reproduction_numbers(rng.uniform(0.01, 1.0), p)
-            assert re <= r0 + 1e-15
+            v = verdict_at(rng.uniform(0.01, 1.0), p)
+            assert v.re <= v.r0 + 1e-15
 
     def test_monotone_in_alpha_and_delay(self):
         beta = 0.3
         res_alpha = []
         for alpha in np.linspace(0, 1, 11):
             p = EpidemicParams(rho=0.0, gamma=0.1, alpha=alpha, t_delay=1.0)
-            res_alpha.append(reproduction_numbers(beta, p)[1])
+            res_alpha.append(verdict_at(beta, p).re)
         assert all(b <= a + 1e-15 for a, b in zip(res_alpha, res_alpha[1:]))
         res_t = []
         for t in np.linspace(0, 10, 11):
             p = EpidemicParams(rho=0.0, gamma=0.1, alpha=0.8, t_delay=t)
-            res_t.append(reproduction_numbers(beta, p)[1])
+            res_t.append(verdict_at(beta, p).re)
         assert all(b >= a - 1e-15 for a, b in zip(res_t, res_t[1:]))
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,6 @@ from epidelay.params import (
     EpidemicParams,
     ModelError,
     effective_beta,
-    reproduction_numbers,
 )
 from epidelay.stability import (
     CharacteristicParams,
@@ -160,9 +160,11 @@ class TestCharFn:
             p = params(rho=0.0, gamma=rng.uniform(0.05, 0.5),
                        alpha=rng.uniform(0, 1), t_delay=rng.uniform(0, 5))
             beta_h = rng.uniform(0.01, 1.0)
-            _, re = reproduction_numbers(beta_h, p)
+            # rho = beta_h on a one-contact population (mu 1, h 1)
+            v = heterogeneous_delay_bound(replace(p, rho=beta_h), DegreeStats.from_mu_cv(1.0, 0.0))
+            assert v.beta_h == beta_h
             f0 = char_fn(0.0, beta_h, p)
-            assert f0.real == pytest.approx(p.gamma * (1.0 - re), rel=1e-12, abs=1e-15)
+            assert f0.real == pytest.approx(p.gamma * (1.0 - v.re), rel=1e-12, abs=1e-15)
             assert f0.imag == 0.0
 
     def test_zero_at_boundary_delay(self):
@@ -206,11 +208,13 @@ class TestRightmostRoot:
         with pytest.raises(ModelError, match="not finite"):
             rightmost_root(CharacteristicParams(a=a, b=b, tau=tau))
 
-    @pytest.mark.parametrize("a,b", [(-710.0, -1e-300), (-700.0, -1e-290)])
+    @pytest.mark.parametrize("a,b", [(-710.0, -1e-300), (-700.0, -1e-290), (0.0, -1e100)])
     def test_complex_branch_far_left(self, a, b):
         # exp(-s*tau) passes the largest double along the Newton path for
         # the first pair (an OverflowError), and for the second rounding
-        # alone kept |f| above an absolute 1e-12 (damping stalled)
+        # alone kept |f| above an absolute 1e-12 (damping stalled). For the
+        # third the root, 224.8 + 3.1i, lies so far from a - 1/tau that
+        # Newton from there did not converge in 200 steps
         s = rightmost_root(CharacteristicParams(a=a, b=b, tau=1.0))
         # b*exp(-s) from logs: exp(-s) itself overflows at the root too
         resid = abs(s - a + cmath.exp(math.log(-b) - s))
