@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -315,6 +316,41 @@ class TestDde:
         # grow at the frozen linearization's rate
         assert rates[1] == pytest.approx(rates[0], rel=1e-3)
         assert capsys.readouterr().err == ""
+
+    # sha256 of the trajectory CSVs (dt 0.01, horizon 100) at delays of 0, 4
+    # steps and 250 steps, from a flat and a growing history: the DDE
+    # kernels' bits, pinned end to end. At tau 0 the history is not read
+    @pytest.mark.parametrize("system,tau,rate,digest", [
+        ("reduced", "0", "0",
+         "cfb0aa9c2d15427ffd56b5ecf4f2c5ad61261bf5750a9fa6608b442c1c8fb71d"),
+        ("reduced", "0", "0.05",
+         "cfb0aa9c2d15427ffd56b5ecf4f2c5ad61261bf5750a9fa6608b442c1c8fb71d"),
+        ("reduced", "0.04", "0",
+         "fb1156df068c6f894e4ed90e9cc7463b6292f16b7d761691624985864ea7048b"),
+        ("reduced", "0.04", "0.05",
+         "e6982a582a134609e6b424feaf9a1fee8b869fa8abfbf5a65f69a1e6021ae07a"),
+        ("reduced", "2.5", "0",
+         "11e9b220886ab982606387c107ef943fb1614e0718329070fcf39dcac9abec20"),
+        ("reduced", "2.5", "0.05",
+         "e5263f3e8427bf140bd8b4579b84614b544f5ac1f3e87dec97167234412b2d9f"),
+        ("homogeneous", "0", "0",
+         "b08c5cf55aadf63c938b86a66d723d704c5b46259260712cfafe102ba30e0880"),
+        ("homogeneous", "0", "0.05",
+         "b08c5cf55aadf63c938b86a66d723d704c5b46259260712cfafe102ba30e0880"),
+        ("homogeneous", "0.04", "0",
+         "c3bf70f9344b2e6ea4d863b2e156eb62485806f55c04780e68260715e02b2bcb"),
+        ("homogeneous", "0.04", "0.05",
+         "ac8a33c75bff6a2252b9095a812845284338b2da3715efd8a5bc45a468d6f0a1"),
+        ("homogeneous", "2.5", "0",
+         "b20eb068ee8bf779388c7e0817d420da647cf7935a7a1314b38e605910d4790a"),
+        ("homogeneous", "2.5", "0.05",
+         "c8a902f8af997375365c97162fd71de338539fc9bff589b4df7d9c5932bb50b0"),
+    ])
+    def test_trajectory_csv_bytes(self, system, tau, rate, digest, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        assert run_cli("dde", "--system", system, "--alpha", "0.8", "--cv", "0.5",
+                       "--t-delay", tau, "--history-rate", rate, "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("window", ["10", "10,20,30", "nan,30", "10,inf", "30,10", "10,10"])
     def test_malformed_fit_window(self, window, tmp_path, capsys):
