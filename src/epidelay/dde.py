@@ -40,18 +40,24 @@ Trajectory.sample goes through _hermite and _gather too, so there is one
 dense-output routine. Beyond the node arrays a run's working memory is
 bounded by _BLOCK and _GATHER_VALUES, not by the length of the grid.
 
-The two steppers run one segment's RK4 steps each. The partitioned systems
+The steppers run one segment's RK4 steps each. The partitioned systems
 step whole state vectors as numpy expressions (_rk4_arrays), so the Python
 cost of a step does not grow with the number of degrees. The homogeneous
-and reduced systems have two or three components, for which a numpy call
-costs more than its arithmetic, so they step lists of Python floats
-(_rk4_floats). Both evaluate every component in the same IEEE operation
-order. Integration is bit-for-bit reproducible for identical inputs.
+and reduced systems have three and two components, for which a numpy call
+costs more than its arithmetic, so each has its own stepper
+(_rk4_homogeneous, _rk4_reduced) that keeps the state and derivative in
+local floats. Each system's formula is written once, as a scalar function
+f(*y, y_del) of the state and the one delayed component it reads; it also
+gives _integrate the first derivative. These steppers read only that
+component of the gathered delayed states. Every stepper evaluates each
+component in the same IEEE operation order, so integration is bit-for-bit
+reproducible for identical inputs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,50 +286,78 @@ def _rk4_arrays(rhs, tl, states, derivs, m0, dels, cap):
     return len(tl) - 1
 
 
-def _rk4_floats(rhs, tl, states, derivs, m0, dels, cap):
-    """The same RK4 segment on lists of Python floats, one list per node.
-
-    For the two- and three-component systems a numpy call costs more than
-    the arithmetic it would do, so this stepper evaluates every expression
-    of _rk4_arrays component by component in the same order, giving the
-    same bits. rhs(y, y_del) takes and returns sequences of floats. The
-    segment's nodes are written into `states` and `derivs` when it ends.
-    Returns the number of steps done, as _rk4_arrays does.
-    """
+def _rk4_reduced(f, tl, states, derivs, m0, dels, cap):
+    """_rk4_arrays' segment for the reduced system, (I, lambda) in local
+    floats, each expression taken component by component in the same order
+    (the same bits). f(i, lam, lam_del) is the system's formula. The nodes
+    are written into the arrays when the segment ends. Returns the steps
+    done, as _rk4_arrays does."""
     lag = dels is not None
     if lag:
-        dels = dels.tolist()
-    y, d = states[m0].tolist(), derivs[m0].tolist()
-    ys, ds = [], []
+        dels = dels[:, 1].tolist()
+    cap = min(cap, sys.float_info.max)  # a non-finite state fails the cap too
+    i, lam = states[m0].tolist()
+    di, dlam = derivs[m0].tolist()
+    y_nodes, d_nodes = [], []
     for j in range(len(tl) - 1):
-        t = tl[j]
-        h = tl[j + 1] - t
+        h = tl[j + 1] - tl[j]
         half = 0.5 * h
-
-        if lag:
-            y_del = dels[2 * j]
-        y_tmp = [a + half * b for a, b in zip(y, d)]
-        k2 = rhs(y_tmp, y_del if lag else y_tmp)
-        y_tmp = [a + half * b for a, b in zip(y, k2)]
-        k3 = rhs(y_tmp, y_del if lag else y_tmp)
-
-        if lag:
-            y_del = dels[2 * j + 1]
-        y_tmp = [a + h * b for a, b in zip(y, k3)]
-        k4 = rhs(y_tmp, y_del if lag else y_tmp)
-
+        a, b = i + half * di, lam + half * dlam
+        k2i, k2l = f(a, b, dels[2 * j] if lag else b)
+        a, b = i + half * k2i, lam + half * k2l
+        k3i, k3l = f(a, b, dels[2 * j] if lag else b)
+        a, b = i + h * k3i, lam + h * k3l
+        k4i, k4l = f(a, b, dels[2 * j + 1] if lag else b)
         h6 = h / 6.0
-        y_new = [a + h6 * (b + 2.0 * c + 2.0 * e + f)
-                 for a, b, c, e, f in zip(y, d, k2, k3, k4)]
-        for v in y_new:
-            if not math.isfinite(v) or abs(v) > cap:
-                return j
-        y, d = y_new, rhs(y_new, y_del if lag else y_new)
-        ys.append(y)
-        ds.append(d)
-    states[m0 + 1:m0 + len(tl)] = ys
-    derivs[m0 + 1:m0 + len(tl)] = ds
+        i += h6 * (di + 2.0 * k2i + 2.0 * k3i + k4i)
+        lam += h6 * (dlam + 2.0 * k2l + 2.0 * k3l + k4l)
+        if not (abs(i) <= cap and abs(lam) <= cap):
+            return j
+        di, dlam = d = f(i, lam, dels[2 * j + 1] if lag else lam)
+        y_nodes.append((i, lam))
+        d_nodes.append(d)
+    states[m0 + 1:m0 + len(tl)] = y_nodes
+    derivs[m0 + 1:m0 + len(tl)] = d_nodes
     return len(tl) - 1
+
+
+def _rk4_homogeneous(f, tl, states, derivs, m0, dels, cap):
+    """_rk4_reduced's segment for the homogeneous system, (S, I, R) in local
+    floats; f(s, i, r, i_del) is the system's formula."""
+    lag = dels is not None
+    if lag:
+        dels = dels[:, 1].tolist()
+    cap = min(cap, sys.float_info.max)
+    s, i, r = states[m0].tolist()
+    ds, di, dr = derivs[m0].tolist()
+    y_nodes, d_nodes = [], []
+    for j in range(len(tl) - 1):
+        h = tl[j + 1] - tl[j]
+        half = 0.5 * h
+        a, b, c = s + half * ds, i + half * di, r + half * dr
+        k2s, k2i, k2r = f(a, b, c, dels[2 * j] if lag else b)
+        a, b, c = s + half * k2s, i + half * k2i, r + half * k2r
+        k3s, k3i, k3r = f(a, b, c, dels[2 * j] if lag else b)
+        a, b, c = s + h * k3s, i + h * k3i, r + h * k3r
+        k4s, k4i, k4r = f(a, b, c, dels[2 * j + 1] if lag else b)
+        h6 = h / 6.0
+        s += h6 * (ds + 2.0 * k2s + 2.0 * k3s + k4s)
+        i += h6 * (di + 2.0 * k2i + 2.0 * k3i + k4i)
+        r += h6 * (dr + 2.0 * k2r + 2.0 * k3r + k4r)
+        if not (abs(s) <= cap and abs(i) <= cap and abs(r) <= cap):
+            return j
+        ds, di, dr = d = f(s, i, r, dels[2 * j + 1] if lag else i)
+        y_nodes.append((s, i, r))
+        d_nodes.append(d)
+    states[m0 + 1:m0 + len(tl)] = y_nodes
+    derivs[m0 + 1:m0 + len(tl)] = d_nodes
+    return len(tl) - 1
+
+
+def _scalar_system(stepper, f):
+    """_integrate's kernel and rhs for a system stepped in floats: stepper
+    with the formula f(*y, y_del), y_del the delayed component 1."""
+    return (lambda _, *segment: stepper(f, *segment)), (lambda y, y_del: f(*y, y_del[1]))
 
 
 def _make_times(t_end: float, dt: float) -> np.ndarray:
@@ -403,12 +437,12 @@ def integrate_homogeneous(
     beta, gamma = float(beta), params.gamma
     iso = params.alpha * math.exp(-gamma * tau)
 
-    def rhs(y, y_del):
-        s, i, _ = y
-        flow = beta * s * (i - iso * y_del[1])
-        return [-flow, flow - gamma * i, gamma * i]
+    def f(s, i, r, i_del):
+        flow = beta * s * (i - iso * i_del)
+        return -flow, flow - gamma * i, gamma * i
 
-    return _integrate(_rk4_floats, rhs, history, ("s", "i", "r"), t_end, dt, tau)
+    return _integrate(*_scalar_system(_rk4_homogeneous, f), history, ("s", "i", "r"),
+                      t_end, dt, tau)
 
 
 def integrate_reduced(
@@ -424,12 +458,12 @@ def integrate_reduced(
     mu, beta_h, gamma = float(stats.mu), effective_beta(params, stats), params.gamma
     iso = params.alpha * math.exp(-gamma * tau)
 
-    def rhs(y, y_del):
-        i, lam = y
-        xi = lam - iso * y_del[1]
-        return [mu * xi - gamma * i, beta_h * xi - gamma * lam]
+    def f(i, lam, lam_del):
+        xi = lam - iso * lam_del
+        return mu * xi - gamma * i, beta_h * xi - gamma * lam
 
-    return _integrate(_rk4_floats, rhs, history, ("i", "lambda"), t_end, dt, tau)
+    return _integrate(*_scalar_system(_rk4_reduced, f), history, ("i", "lambda"),
+                      t_end, dt, tau)
 
 
 def partition_sizes(dist: DegreeDistribution) -> np.ndarray:

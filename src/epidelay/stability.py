@@ -200,8 +200,11 @@ def rightmost_root(cp: CharacteristicParams) -> complex:
     try:
         x = b * tau * math.exp(-a * tau)
     except OverflowError:
-        # exp(-a*tau) passes the largest double (a < 0), though x itself
-        # may not: for the isolation model b*tau*exp(-a*tau) is tiny
+        x = math.inf
+    if math.isinf(x):
+        # exp(-a*tau) passes the largest double (a < 0), or b*tau alone does,
+        # though x itself may not: for the isolation model x is tiny. A NaN
+        # x, an infinite b*tau times a zero exp(-a*tau), stays refused
         try:
             x = math.copysign(math.exp(math.log(abs(b)) + math.log(tau) - a * tau), b) if b else 0.0
         except OverflowError:
@@ -212,19 +215,26 @@ def rightmost_root(cp: CharacteristicParams) -> complex:
     if x >= _BRANCH_POINT:
         return complex(a + _lambert_w0(x) / tau, 0.0)
 
-    def scaled_exp(c: float, s: complex) -> complex:
-        """c*exp(-s*tau) for c < 0 (b < 0 on this branch), taken from logs
-        where exp(-s*tau) passes the largest double and the product may not."""
-        try:
-            return c * cmath.exp(-s * tau)
-        except OverflowError:
-            return -cmath.exp(math.log(-c) - s * tau)
+    def scaled_exp(c: float, log_c: float, s: complex) -> complex:
+        """c*exp(-s*tau) for c = -exp(log_c) (b < 0 on this branch), taken
+        from logs where c or exp(-s*tau) passes the largest double and the
+        product may not."""
+        if math.isfinite(c):
+            try:
+                return c * cmath.exp(-s * tau)
+            except OverflowError:
+                pass
+        return -cmath.exp(log_c - s * tau)
+
+    bt = b * tau
+    log_b = math.log(-b)
+    log_bt = math.log(-bt) if math.isfinite(bt) else log_b + math.log(tau)
 
     def f(s: complex) -> complex:
-        return s - a - scaled_exp(b, s)
+        return s - a - scaled_exp(b, log_b, s)
 
     def fprime(s: complex) -> complex:
-        return 1.0 + scaled_exp(b * tau, s)
+        return 1.0 + scaled_exp(bt, log_bt, s)
 
     if x < -math.exp(3.0):
         # from a - 1/tau Newton gains about one unit of Re s a step; here

@@ -308,11 +308,12 @@ def ref_rk4_dde(system, times, states, derivs, dt, tau, coeffs, hist_rate, hist_
 ORACLE_DIST = DegreeDistribution({1: 300, 2: 250, 3: 200, 4: 150, 6: 100, 9: 60, 12: 30, 17: 10})
 
 
-def oracle_case(system, tau, rate, rho=0.05, cap=1e12, t_end=30.003, dt=0.05):
+def oracle_case(system, tau, rate, rho=0.05, cap=1e12, t_end=30.003, dt=0.05,
+                homogeneous_y0=(1.0 - 1e-4, 1e-4, 0.0)):
     """(run, reference, sample) for one configuration: run() integrates it
     with the package at BLOW_UP_CAP = cap; reference is (status, last,
     times, states, derivs) from the loop stepper, and sample(t) its dense
-    output."""
+    output. homogeneous_y0 is the homogeneous system's (S, I, R) history."""
     dist = ORACLE_DIST
     n = dist.max_degree
     n_k = partition_sizes(dist)
@@ -322,7 +323,7 @@ def oracle_case(system, tau, rate, rho=0.05, cap=1e12, t_end=30.003, dt=0.05):
     scale = p.rho / float(np.sum(np.arange(1, n + 1) * n_k))
     alphas = p.alpha * np.arange(1, n + 1) / n
     if system == "homogeneous":
-        hist = History([1.0 - 1e-4, 1e-4, 0.0], rate)
+        hist = History(homogeneous_y0, rate)
         code, coeffs = SYS_HOMOGENEOUS, [0.3, p.gamma, iso]
 
         def integrate():
@@ -379,6 +380,21 @@ def same_bits(a, b) -> bool:
 
 
 ORACLE_SYSTEMS = ("homogeneous", "reduced", "frozen", "dynamic", "alpha-by-degree")
+STEPPERS = ("_rk4_arrays", "_rk4_reduced", "_rk4_homogeneous")
+
+# From S = 2 and I < 0 the homogeneous state grows: its peak |state| rises
+# from 2 to about 2.005 over an oracle run
+GROWING_HOMOGENEOUS = {"homogeneous_y0": (2.0, -1e-4, 0.0)}
+
+
+def midway_cap(system, tau, **case):
+    """A cap halfway between the peak |state| of the loop stepper's first
+    and last nodes, which a run whose peak grows passes mid-run."""
+    _, (status, _, _, states, _), _ = oracle_case(system, tau, 0.05, **case)
+    assert status == 0
+    peaks = np.abs(states).max(axis=1)
+    assert peaks[-1] > peaks[0]
+    return 0.5 * (peaks[0] + peaks[-1])
 
 
 def spy_lookups(monkeypatch):
@@ -388,16 +404,16 @@ def spy_lookups(monkeypatch):
     plain_delayed = dde._delayed
 
     def spy(stepper):
-        def step(rhs, tl, states, derivs, m0, dels, cap):
+        def step(f, tl, states, derivs, m0, dels, cap):
             seen["segments"] += dels is not None
-            return stepper(rhs, tl, states, derivs, m0, dels, cap)
+            return stepper(f, tl, states, derivs, m0, dels, cap)
         return step
 
     def delayed(*args):
         seen["gathered"] += 1
         return plain_delayed(*args)
 
-    for name in ("_rk4_arrays", "_rk4_floats"):
+    for name in STEPPERS:
         monkeypatch.setattr(dde, name, spy(getattr(dde, name)))
     monkeypatch.setattr(dde, "_delayed", delayed)
     return seen
@@ -429,28 +445,35 @@ class TestStepperOracle:
     # at rho 0.3 these grow through the cap mid-run; the reduced runs and the
     # frozen one at 0.37 fail past the first step of a segment, and at tau 0
     # a whole block is one segment. The dynamic system is bounded by its
-    # partition sizes
-    @pytest.mark.parametrize("system,cap", [
-        ("reduced", 1.0), ("frozen", 1e4), ("alpha-by-degree", 1e5),
+    # partition sizes; the growing homogeneous one passes a cap taken
+    # halfway along its own run (cap None)
+    @pytest.mark.parametrize("system,cap,case", [
+        ("reduced", 1.0, {}), ("frozen", 1e4, {}), ("alpha-by-degree", 1e5, {}),
+        ("homogeneous", None, GROWING_HOMOGENEOUS),
     ])
-    def test_blow_up_stops_where_the_loop_does(self, system, cap):
+    def test_blow_up_stops_where_the_loop_does(self, system, cap, case):
         for tau in (0.37, 0.2, 0.0):
-            run, (status, last, times, _, _), _ = oracle_case(system, tau, 0.05, rho=0.3,
-                                                              cap=cap)
+            run, (status, last, times, _, _), _ = oracle_case(
+                system, tau, 0.05, rho=0.3, cap=cap or midway_cap(system, tau, **case), **case)
             assert status == 1 and 0 < last < len(times) - 1
             with pytest.raises(IntegrationError) as err:
                 run()
             assert err.value.t_last == float(times[last]), tau
 
     @pytest.mark.parametrize("first", [True, False])
-    @pytest.mark.parametrize("system,cap", [("reduced", 1.0), ("frozen", 1e4)])
-    def test_blow_up_at_a_segment_edge(self, system, cap, first, monkeypatch):
+    @pytest.mark.parametrize("system,cap,case", [
+        ("reduced", 1.0, {}), ("frozen", 1e4, {}),
+        ("homogeneous", None, GROWING_HOMOGENEOUS),
+    ])
+    def test_blow_up_at_a_segment_edge(self, system, cap, case, first, monkeypatch):
         # a cap between the peak |state| up to node m and the peak at node
         # m + 1 fails step m: here a segment's first step (none done) or its
         # last
-        run, (_, last, times, states, _), _ = oracle_case(system, 0.37, 0.05, rho=0.3, cap=cap)
+        cap = cap or midway_cap(system, 0.37, **case)
+        run, (_, last, times, states, _), _ = oracle_case(system, 0.37, 0.05, rho=0.3, cap=cap,
+                                                          **case)
         starts, done = [], []
-        for name in ("_rk4_arrays", "_rk4_floats"):
+        for name in STEPPERS:
             def step(*args, stepper=getattr(dde, name)):
                 starts.append(args[4])
                 done.append(stepper(*args))
@@ -464,7 +487,7 @@ class TestStepperOracle:
         starts.clear()
         done.clear()
         run, (status, last, times, _, _), _ = oracle_case(
-            system, 0.37, 0.05, rho=0.3, cap=0.5 * (peaks[m] + peaks[m + 1]))
+            system, 0.37, 0.05, rho=0.3, cap=0.5 * (peaks[m] + peaks[m + 1]), **case)
         assert status == 1 and last == m
         with pytest.raises(IntegrationError) as err:
             run()

@@ -191,6 +191,14 @@ class TestRightmostRoot:
             s = rightmost_root(cp)
             assert abs(s - cp.a - cp.b * cmath.exp(-s * cp.tau)) < 1e-9
 
+    def test_overflowing_b_tau_with_finite_branch_argument(self):
+        # b*tau passes the largest double without an OverflowError, yet
+        # ln|x| = 554.1; the root is scipy's a + W0(x)/tau, x from logs
+        cp = CharacteristicParams(a=23.266788127432434, b=-3.8112243106301687e307,
+                                  tau=6.70495271588154)
+        s = rightmost_root(cp)
+        assert abs(s - (104.97142585545069 + 0.46769435085799926j)) <= 1e-14 * abs(s)
+
     def test_overflowing_exponential_with_finite_branch_argument(self):
         # exp(-a*tau) = exp(800) passes the largest double; x does not
         cp = CharacteristicParams(a=-0.01, b=0.05 * math.exp(-200.0), tau=8e4)
