@@ -64,7 +64,7 @@ class DegreeDistribution:
 
     counts[k] is the number of individuals with k contacts per day. Degree-0
     partitions are allowed: they count toward the population size but never
-    transmit or acquire infection.
+    transmit or acquire infection. The population must convert to a float.
     """
 
     counts: Mapping[int, int]
@@ -82,6 +82,10 @@ class DegreeDistribution:
             raise ModelError("degree distribution is empty")
         if all(k == 0 for k in cleaned):
             raise ModelError("no partition with degree >= 1; transmission impossible")
+        try:
+            float(sum(cleaned.values()))
+        except OverflowError:
+            raise ModelError("population passes the float range") from None
         object.__setattr__(self, "counts", dict(sorted(cleaned.items())))
 
     @property

@@ -32,7 +32,7 @@ from .params import (DegreeDistribution, DegreeStats, EpidemicParams, ModelError
 _BRANCH_POINT = -math.exp(-1.0)
 # Absolute slack absorbing last-ulp rounding when callers compute w*exp(w).
 _BRANCH_SLACK = 1e-14
-# Damped-Newton iterations rightmost_root allows on the complex branch.
+# Newton iterations rightmost_root allows on the complex branch.
 _ROOT_MAX_ITER = 200
 
 
@@ -48,13 +48,16 @@ class VerdictKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CharacteristicParams:
-    """Coefficients of the scalar delay equation s = a + b*exp(-s*tau)."""
+    """Coefficients of the scalar delay equation s = a + b*exp(-s*tau);
+    a, b and tau must be finite, and tau >= 0."""
 
     a: float
     b: float
     tau: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.tau))):
+            raise ModelError(f"a, b and tau must be finite, got {self}")
         if self.tau < 0.0:
             raise ModelError(f"tau must be >= 0, got {self.tau}")
 
@@ -186,13 +189,15 @@ def rightmost_root(cp: CharacteristicParams) -> complex:
     For tau = 0 the equation is algebraic and the root is a + b. Otherwise,
     with x = b*tau*exp(-a*tau): when x >= -1/e the dominant root is real,
     a + W0(x)/tau. When x < -1/e the dominant roots are a complex-conjugate
-    pair, located by damped Newton on the (real, imaginary) residual of
-    f(s) = s - a - b*exp(-s*tau), seeded at a - 1/tau + i*pi/(2*tau) or,
-    below x = -e^3, at the asymptotic W0(x); the member with positive
-    imaginary part is returned. For coefficients produced by the isolation
-    model the branch argument never drops below -1/e (it equals
-    -alpha*u*exp(-u) with u = beta_h*tau), so the complex path only
-    triggers for general inputs. A non-finite x raises ModelError.
+    pair, located by Newton's method on f(s) = s - a - b*exp(-s*tau),
+    seeded at a - 1/tau + i*pi/(2*tau) or, below x = -e^3, at the
+    asymptotic W0(x); the member with positive imaginary part is returned.
+    With w = (s - a)*tau, f is (w - x*exp(-w))/tau and both seeds depend on
+    x alone, so in exact arithmetic the Newton path does too. For
+    coefficients produced by the isolation model the branch argument never
+    drops below -1/e (it equals -alpha*u*exp(-u) with u = beta_h*tau), so
+    the complex path only triggers for general inputs. An x beyond the
+    float range raises ModelError.
     """
     a, b, tau = cp.a, cp.b, cp.tau
     if tau == 0.0:
@@ -200,11 +205,11 @@ def rightmost_root(cp: CharacteristicParams) -> complex:
     try:
         x = b * tau * math.exp(-a * tau)
     except OverflowError:
-        x = math.inf
-    if math.isinf(x):
-        # exp(-a*tau) passes the largest double (a < 0), or b*tau alone does,
-        # though x itself may not: for the isolation model x is tiny. A NaN
-        # x, an infinite b*tau times a zero exp(-a*tau), stays refused
+        x = math.nan
+    if not math.isfinite(x):
+        # b*tau or exp(-a*tau) passes the largest double (an infinite b*tau
+        # times an exp(-a*tau) that underflows to 0 is NaN), though x itself
+        # may not: for the isolation model x is tiny
         try:
             x = math.copysign(math.exp(math.log(abs(b)) + math.log(tau) - a * tau), b) if b else 0.0
         except OverflowError:
@@ -230,12 +235,6 @@ def rightmost_root(cp: CharacteristicParams) -> complex:
     log_b = math.log(-b)
     log_bt = math.log(-bt) if math.isfinite(bt) else log_b + math.log(tau)
 
-    def f(s: complex) -> complex:
-        return s - a - scaled_exp(b, log_b, s)
-
-    def fprime(s: complex) -> complex:
-        return 1.0 + scaled_exp(bt, log_bt, s)
-
     if x < -math.exp(3.0):
         # from a - 1/tau Newton gains about one unit of Re s a step; here
         # W0(x) ~ L1 - L2 + L2/L1, L1 the principal log(x), L2 = log(L1)
@@ -244,26 +243,15 @@ def rightmost_root(cp: CharacteristicParams) -> complex:
         s = a + (l1 - l2 + l2 / l1) / tau
     else:
         s = complex(a - 1.0 / tau, math.pi / (2.0 * tau))
-    res = abs(f(s))
     for _ in range(_ROOT_MAX_ITER):
+        f = s - a - scaled_exp(b, log_b, s)
+        res = abs(f)
         # rounding alone leaves a residual of some ulps of the largest of
         # |s|, |a| and |s*tau|*|s - a|: b*exp(-s*tau), of size |s - a| near
         # the root, moves by the ulp of its argument s*tau
         if res <= max(1e-12, 64.0 * math.ulp(max(abs(s), abs(a), abs(s * tau) * abs(s - a)))):
             return s if s.imag >= 0.0 else s.conjugate()
-        step = f(s) / fprime(s)
-        # Halve the step while the residual increases (damping).
-        for _ in range(60):
-            cand = s - step
-            cand_res = abs(f(cand))
-            if cand_res < res:
-                break
-            step *= 0.5
-        else:
-            raise NumericalError(
-                f"rightmost_root: damping stalled at s={s}, |f|={res:.3e} for {cp}"
-            )
-        s, res = cand, cand_res
+        s -= f / (1.0 + scaled_exp(bt, log_bt, s))
     raise NumericalError(
         f"rightmost_root: no convergence after {_ROOT_MAX_ITER} iterations, "
         f"s={s}, |f|={res:.3e} for {cp}"

@@ -97,6 +97,27 @@ class TestClassify:
         assert run_cli("classify", "--alpha", "0.8") == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_dist_requires_rho(self, tmp_path, capsys):
+        dist = tmp_path / "two_point.csv"
+        dist.write_text("k,count\n1,500\n7,500\n", encoding="utf-8")
+        assert run_cli("classify", "--dist", str(dist), "--alpha", "0.8") == 1
+        assert capsys.readouterr().err.startswith("error: --dist requires --rho")
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--rho", "0.1", "--alpha", "0.8"],
+        ["dde", "--system", "reduced"],
+        ["dde", "--system", "partitioned"],
+    ])
+    def test_population_beyond_float_range(self, argv, tmp_path, capsys):
+        # the total count, 10^400 + 1, has no float; this ended in an
+        # OverflowError traceback
+        dist = tmp_path / "huge_population.csv"
+        dist.write_text("k,count\n0,1" + "0" * 400 + "\n1,1\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert run_cli(*argv, "--dist", str(dist), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: population passes the float range")
+        assert not out.exists()
+
     def test_matches_bound_row(self, tmp_path, capsys):
         # both commands scale R0 by h = 1 + cv^2 the same way, to the last bit
         r0, cv = "5.085024172081335", "0.9127555772777217"
@@ -213,6 +234,25 @@ class TestBound:
         assert run_cli("bound", "--r0-range", "nope", "--out",
                        str(tmp_path / "x.csv")) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("spec", ["1:2:0", "1:2:-0.5", "2:1:0.5"])
+    def test_range_needs_positive_step_and_order(self, spec, tmp_path, capsys):
+        assert run_cli("bound", "--r0-range", spec, "--out", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: malformed range {spec!r}; need step > 0 and hi >= lo")
+
+    @pytest.mark.parametrize("alpha,message", [("0.5,x", "malformed float list"),
+                                               (",", "need at least one alpha")])
+    def test_bad_alpha_list(self, alpha, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli("bound", "--r0-range", "1:2:0.5", f"--alpha={alpha}",
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_cv_range_requires_r0(self, tmp_path, capsys):
+        assert run_cli("bound", "--cv-range", "0:1:0.5", "--out", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err.startswith("error: --cv-range requires --r0")
 
     @pytest.mark.parametrize("spec", ["nan:1:0.1", "0:inf:1", "0:1:1e-12"])
     def test_non_finite_or_oversized_range(self, spec, tmp_path, capsys):

@@ -62,6 +62,11 @@ class TestGrowthEstimator:
         with pytest.raises(ModelError):
             estimate_growth_rate(traj, "x", (0.0, 10.0))
 
+    def test_series_of_wrong_shape_rejected(self):
+        traj = synthetic_exponential(0.2)
+        with pytest.raises(ModelError, match="observable has shape"):
+            estimate_growth_rate(traj, np.ones(len(traj.times) - 1), (0.0, 20.0))
+
     def test_window_too_small(self):
         traj = synthetic_exponential(0.1)
         with pytest.raises(ModelError):
@@ -547,6 +552,17 @@ class TestDenseOutput:
         for i in (0, 7, 42, len(traj.times) - 1):
             assert np.array_equal(traj.sample(traj.times[i]), traj.states[i])
 
+    def test_sample_past_horizon_refused(self):
+        p = EpidemicParams(rho=0.0, gamma=0.1, alpha=0.5, t_delay=1.0)
+        traj = integrate_homogeneous(p, 0.3, constant_history([0.99, 0.01, 0.0]), 5.0, 0.05)
+        with pytest.raises(ModelError, match="beyond integrated horizon"):
+            traj.sample(traj.times[-1] + 0.01)
+
+    def test_history_of_wrong_dimension_refused(self):
+        p = EpidemicParams(rho=0.0, gamma=0.1, alpha=0.5, t_delay=1.0)
+        with pytest.raises(ModelError, match="history dimension"):
+            integrate_homogeneous(p, 0.3, constant_history([0.99, 0.01]), 5.0, 0.05)
+
     def test_history_returned_exactly_before_start(self):
         y0 = np.array([0.9, 0.1, 0.0])
         hist = History(y0, 0.3)
@@ -653,6 +669,14 @@ class TestPartitionedSystem:
             ref = red.component("i")
             assert np.max(np.abs(agg - ref) / np.abs(ref)) < 1e-6
 
+    def test_infectious_fraction_needs_partitions(self):
+        p = EpidemicParams(rho=0.05, gamma=0.1, alpha=0.5, t_delay=1.0)
+        dist = DegreeDistribution({2: 600, 5: 400})
+        traj = integrate_reduced(p, compute_stats(dist), constant_history([1e-3, 1e-4]),
+                                 5.0, 0.05)
+        with pytest.raises(ModelError, match="no partition components"):
+            infectious_fraction(traj, dist)
+
     def test_dynamic_mode_tracks_frozen_early(self):
         dist = DegreeDistribution({2: 4000, 6: 1000})
         p = EpidemicParams(rho=0.05, gamma=0.1, alpha=0.5, t_delay=1.0)
@@ -717,3 +741,10 @@ class TestConsistentReducedHistory:
         dist = DegreeDistribution({4: 1000})
         with pytest.raises(ModelError):
             consistent_reduced_history(dist, np.zeros(4), rho=0.1)
+
+    @pytest.mark.parametrize("y0,message", [([0.0, 0.0, 1.0], "one entry per degree"),
+                                            ([0.0, 0.0, 1.0, -1e-9], "nonnegative")])
+    def test_bad_profile_rejected(self, y0, message):
+        dist = DegreeDistribution({4: 1000})
+        with pytest.raises(ModelError, match=message):
+            consistent_reduced_history(dist, y0, rho=0.1)

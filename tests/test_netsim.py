@@ -523,6 +523,11 @@ class TestEnsemble:
         m = stats.mean_inf_degree
         assert np.all(np.isclose(m[~np.isnan(m)], 4.0))
 
+    def test_single_run_needs_a_day(self):
+        g = generate_graph("config-poisson", 200, 4.0, 3)
+        with pytest.raises(ModelError, match="days must be >= 1"):
+            run_single(g, base_params(), "uniform", 5, 0, np.random.default_rng(1))
+
     @pytest.mark.parametrize("kind", ["config-poisson", "barabasi-albert", "watts-strogatz"])
     def test_census_measured_once(self, kind):
         # generate_graph measures the census for its mean-degree check, and

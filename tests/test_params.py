@@ -102,6 +102,17 @@ class TestComputeStats:
         with pytest.raises(ModelError):
             DegreeDistribution({0: 100})
 
+    @pytest.mark.parametrize("counts", [{-1: 5, 2: 5}, {1.5: 5, 2: 5},
+                                        {1: -3, 2: 5}, {1: 2.5, 2: 5}])
+    def test_bad_degree_or_count_rejected(self, counts):
+        with pytest.raises(ModelError, match="nonnegative integer"):
+            DegreeDistribution(counts)
+
+    def test_population_beyond_float_range_rejected(self):
+        # compute_stats' s1 / n_total would raise OverflowError
+        with pytest.raises(ModelError, match="population passes the float range"):
+            DegreeDistribution({0: 10**400, 1: 1})
+
 
 class TestEpidemicParams:
     @pytest.mark.parametrize("kwargs", [
@@ -212,6 +223,11 @@ class TestLoadDistribution:
         path.write_text("k,count\n1,500\n7,500\n", encoding="utf-8")
         dist = load_distribution(path)
         assert dist.counts == {1: 500, 7: 500}
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "dist.csv"
+        path.write_text("k,count\n1,500\n\n   \n7,500\n", encoding="utf-8")
+        assert load_distribution(path).counts == {1: 500, 7: 500}
 
     def test_crlf_accepted(self, tmp_path):
         path = tmp_path / "dist.csv"

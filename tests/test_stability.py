@@ -176,6 +176,19 @@ class TestCharFn:
         assert abs(char_fn(0.0, beta_h, p_boundary)) < 1e-14
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["a", "b", "tau"])
+def test_non_finite_coefficient_refused(field, value):
+    coeffs = {"a": 0.5, "b": -0.5, "tau": 1.0, field: value}
+    with pytest.raises(ModelError, match="must be finite"):
+        CharacteristicParams(**coeffs)
+
+
+def test_negative_tau_refused():
+    with pytest.raises(ModelError, match="tau must be >= 0"):
+        CharacteristicParams(a=0.5, b=-0.5, tau=-1e-3)
+
+
 class TestRightmostRoot:
     def test_no_delay_term(self):
         assert rightmost_root(CharacteristicParams(a=0.25, b=0.0, tau=1.5)) == 0.25 + 0j
@@ -210,11 +223,59 @@ class TestRightmostRoot:
         # b = 0 leaves the root at a
         assert rightmost_root(CharacteristicParams(a=-0.01, b=0.0, tau=1e300)) == -0.01 + 0j
 
-    @pytest.mark.parametrize("a,b,tau", [(-1000.0, 1.0, 1.0), (-1e300, 1.0, 1e300),
-                                         (1.0, 1e300, 1e300)])
+    @pytest.mark.parametrize("a,b,tau", [(-1000.0, 1.0, 1.0), (-1e300, 1.0, 1e300)])
     def test_non_finite_branch_argument_refused(self, a, b, tau):
         with pytest.raises(ModelError, match="not finite"):
             rightmost_root(CharacteristicParams(a=a, b=b, tau=tau))
+
+    def test_nan_product_with_representable_branch_argument(self):
+        # b*tau is inf and exp(-a*tau) is 0, so the direct product is NaN;
+        # from logs x = exp(2*ln(1e300) - 1e300) = 0.0 and the root is a
+        s = rightmost_root(CharacteristicParams(a=1.0, b=1e300, tau=1e300))
+        assert s == 1.0 + 0j
+        assert s.real - 1.0 - 1e300 * math.exp(-s.real * 1e300) == 0.0
+
+    def test_complex_branch_overflow_fallback(self):
+        # x is about -1, from logs, and exp(-s*tau) passes the largest
+        # double at the seed a - 1/tau + i*pi/2, so b*exp(-s*tau) is taken
+        # from logs along the Newton path
+        cp = CharacteristicParams(a=-720.0, b=-math.exp(-720.0), tau=1.0)
+        x = -math.exp(math.log(-cp.b) - cp.a)
+        s = rightmost_root(cp)
+        assert s == -720.3181315052068 + 1.337235701428935j
+        assert s == pytest.approx(cp.a + complex(scipy_lambertw(x, 0)), rel=1e-15)
+
+    def test_complex_branch_scan_matches_scipy(self):
+        # x from just below -1/e (offsets 1e-14 to 1) to -e^700, a in (-2, 2),
+        # tau in (0.01, 10). Near -1/e b is the direct quotient, so the
+        # branch argument rightmost_root forms stays below -1/e; far out b
+        # comes from logs, with ln|x| capped where b would pass the float range
+        rng = np.random.default_rng(36)
+        n = 4000
+        a_all = rng.uniform(-2.0, 2.0, 2 * n)
+        tau_all = 10.0 ** rng.uniform(-2.0, 1.0, 2 * n)
+        offsets = 10.0 ** rng.uniform(-14.0, 0.0, n)
+        log_far = rng.uniform(math.log(1.0 + math.exp(-1.0)), 700.0, n)
+        for i in range(2 * n):
+            a, tau = float(a_all[i]), float(tau_all[i])
+            if i < n:
+                x = -math.exp(-1.0) - float(offsets[i])
+                b = x * math.exp(a * tau) / tau
+            else:
+                log_x = min(float(log_far[i - n]), 709.0 - a * tau + math.log(tau))
+                x = -math.exp(log_x)
+                b = -math.exp(log_x + a * tau - math.log(tau))
+            s = rightmost_root(CharacteristicParams(a=a, b=b, tau=tau))
+            assert s.imag > 0.0
+            try:
+                delayed = b * cmath.exp(-s * tau)
+            except OverflowError:
+                delayed = -cmath.exp(math.log(-b) - s * tau)
+            # the stop test's bound: 1e-12, or some ulps of the largest term
+            scale = max(1.0, abs(s), abs(a), abs(s * tau) * abs(s - a))
+            assert abs(s - a - delayed) <= 1e-12 * scale
+            expected = a + complex(scipy_lambertw(x, 0)) / tau
+            assert abs(s - expected) <= 1e-5 * max(1.0, abs(s))
 
     @pytest.mark.parametrize("a,b", [(-710.0, -1e-300), (-700.0, -1e-290), (0.0, -1e100)])
     def test_complex_branch_far_left(self, a, b):
