@@ -85,7 +85,8 @@ class IntegrationError(RuntimeError):
 @dataclass(frozen=True)
 class History:
     """Initial-history function on [-tau, 0]: y(theta) = y0 * exp(rate*theta),
-    with y0 and rate finite."""
+    with y0 and rate finite. It is read at finite theta only; a theta whose
+    exp(rate*theta) passes the float range raises ModelError."""
 
     y0: np.ndarray
     rate: float = 0.0
@@ -102,7 +103,11 @@ class History:
         object.__setattr__(self, "rate", rate)
 
     def __call__(self, theta: float) -> np.ndarray:
-        return self.y0 * math.exp(self.rate * theta)
+        try:
+            return self.y0 * math.exp(self.rate * theta)
+        except OverflowError:
+            raise ModelError(f"history exp(rate*theta) at rate {self.rate:g}, theta "
+                             f"{theta:g} is beyond the float range") from None
 
 
 def constant_history(y0) -> History:
@@ -127,8 +132,10 @@ class Trajectory:
         return self.states[:, self.components.index(name)]
 
     def sample(self, t: float) -> np.ndarray:
-        """Dense state at time t; for t <= times[0] this is exactly the
-        supplied history function."""
+        """Dense state at a finite time t up to the horizon; for t <=
+        times[0] this is exactly the supplied history function."""
+        if not math.isfinite(t):
+            raise ModelError(f"t must be finite, got {t}")
         if t > self.times[-1]:
             raise ModelError(f"t={t} beyond integrated horizon {self.times[-1]}")
         t, times = float(t), self.times
@@ -572,7 +579,7 @@ def estimate_growth_rate(traj: Trajectory, observable, window: tuple[float, floa
 
     observable is a component name or a series sampled at traj.times, such
     as the infectious_fraction of a partitioned run. All samples in the
-    window must be strictly positive.
+    window must be finite and strictly positive.
     """
     if isinstance(observable, str):
         series = traj.component(observable)
@@ -586,6 +593,8 @@ def estimate_growth_rate(traj: Trajectory, observable, window: tuple[float, floa
         raise ModelError(f"window [{t0}, {t1}] contains fewer than 3 samples")
     ts = traj.times[mask]
     ys = series[mask]
+    if not np.isfinite(ys).all():
+        raise ModelError("observable has non-finite samples in the fit window")
     if np.any(ys <= 0.0):
         raise ModelError("observable has nonpositive samples in the fit window")
     logs = np.log(ys)

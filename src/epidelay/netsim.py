@@ -4,9 +4,11 @@ Daily synchronous updates: a susceptible with m non-isolated infectious
 neighbors becomes infectious the next day with probability 1 - (1-rho)^m;
 infectious nodes (isolated or not) recover with per-day probability
 1 - exp(-gamma); a newly infected node is scheduled for isolation with
-probability alpha, t_delay (rounded to whole days) after the day it became
-infectious, and moves to Isolated at the start of that day if still
-infectious. Isolation is permanent and only blocks transmission.
+probability alpha, t_delay (rounded to whole days, half to even) after the
+day it became infectious, and moves to Isolated at the start of that day if
+still infectious. Isolation is permanent and only blocks transmission. The
+seeds become infectious on day 1 and follow the same rule: one routine
+(_admit) admits the seeds and each day's new cases alike.
 
 Each day sweeps only the frontier: infection is tested only on susceptible
 nodes with an infectious neighbor, recovery only on infectious and isolated
@@ -84,9 +86,11 @@ class EpidemicState:
 
     status holds the compartment codes. due maps each day still to come to
     the nodes whose isolation falls due at its start, those scheduled on the
-    day of infection + round(t_delay); it holds no empty cohort. alive lists
-    the infectious and isolated nodes ascending, and removed counts the
-    removed ones; step_day keeps both in step with status.
+    day of infection + round(t_delay); it holds no empty cohort, and none
+    for state.day, whose cohort is isolated when the day's cases are
+    admitted. alive lists the infectious and isolated nodes ascending, and
+    removed counts the removed ones; init_state and step_day keep both in
+    step with status.
     """
 
     status: np.ndarray
@@ -235,22 +239,44 @@ def _exposures(graph: ContactGraph, status: np.ndarray,
     return _push(graph, status, spreaders)
 
 
+def _admit(state: EpidemicState, infected: np.ndarray, draws: np.ndarray,
+           params: EpidemicParams) -> None:
+    """Make the nodes `infected` on state.day infectious and apply the
+    isolation scheme to them: node infected[j] is scheduled when draws[j] <
+    alpha (every node at alpha 1, none at alpha 0, whatever the draws), its
+    isolation falling due on state.day + round(t_delay). Then the cohort due
+    on state.day is isolated, except its recovered nodes."""
+    status = state.status
+    status[infected] = INFECTIOUS
+    if (len(state.alive) + len(infected)) * _SCAN_COST > len(status):
+        state.alive = np.flatnonzero((status == INFECTIOUS) | (status == ISOLATED))
+    else:
+        state.alive = np.sort(np.concatenate((state.alive, infected)))
+    if 0.0 < params.alpha < 1.0:
+        schedule = infected[draws < params.alpha]
+    else:
+        schedule = infected if params.alpha == 1.0 else infected[:0]
+    if len(schedule):
+        key = state.day + round(params.t_delay)
+        # a cohort already due that day was scheduled under another t_delay
+        if key in state.due:
+            schedule = np.concatenate((state.due[key], schedule))
+        state.due[key] = schedule
+    cohort = state.due.pop(state.day, None)
+    if cohort is not None:
+        status[cohort[status[cohort] == INFECTIOUS]] = ISOLATED
+
+
 def init_state(graph: ContactGraph, seeds: np.ndarray, params: EpidemicParams,
                rng: np.random.Generator) -> EpidemicState:
     """Day-FIRST_DAY state with the given seed nodes infectious and the
-    isolation scheme already applied to them. The seeds must be distinct,
-    as seed_infections returns them."""
-    status = np.zeros(graph.node_count, dtype=np.int8)
-    status[seeds] = INFECTIOUS
-    t_days = round(params.t_delay)
-    picked = seeds[rng.random(len(seeds)) < params.alpha]
-    due = {}
-    if t_days == 0:
-        status[picked] = ISOLATED
-    elif len(picked):
-        due[FIRST_DAY + t_days] = picked
-    return EpidemicState(status=status, due=due, day=FIRST_DAY,
-                         alive=np.sort(seeds), removed=0)
+    isolation scheme applied to them as to any day's new cases, seed j
+    reading entry j of one len(seeds) uniform draw. The seeds must be
+    distinct, as seed_infections returns them."""
+    state = EpidemicState(status=np.zeros(graph.node_count, dtype=np.int8), due={},
+                          day=FIRST_DAY, alive=seeds[:0], removed=0)
+    _admit(state, seeds, rng.random(len(seeds)), params)
+    return state
 
 
 def metrics_from_state(graph: ContactGraph, state: EpidemicState) -> DayMetrics:
@@ -280,40 +306,22 @@ def step_day(graph: ContactGraph, state: EpidemicState, params: EpidemicParams,
     n = graph.node_count
     p_table = infection_prob_table(params.rho, graph.max_degree)
     p_rec = -math.expm1(-params.gamma)
-    status, alive, day = state.status, state.alive, state.day
+    status, alive = state.status, state.alive
     # hits counts each exposed node's infectious neighbors; the graph is
     # simple, so hits <= degree indexes p_table
     exposed, hits = _exposures(graph, status, alive[status[alive] == INFECTIOUS])
     infect = exposed[_uniform_at(rng, n, exposed) < p_table[hits]]
     recovers = _uniform_at(rng, n, alive) < p_rec
     recover = alive[recovers]
+    # at alpha 0 or 1 every entry is below 1 and none below 0: the isolation
+    # test reads none of them, and the generator still moves past the draw
+    draws = _uniform_at(rng, n, infect if 0.0 < params.alpha < 1.0 else infect[:0])
 
     status[recover] = REMOVED
-    status[infect] = INFECTIOUS
-    if 0.0 < params.alpha < 1.0:
-        schedule = infect[_uniform_at(rng, n, infect) < params.alpha]
-    else:
-        # every entry is below 1 and none below 0: the test reads none of
-        # them, and the generator still moves past the whole draw
-        _uniform_at(rng, n, infect[:0])
-        schedule = infect if params.alpha == 1.0 else infect[:0]
-    if len(schedule):
-        key = day + 1 + round(params.t_delay)
-        # a cohort already due that day was scheduled under another t_delay
-        if key in state.due:
-            schedule = np.concatenate((state.due[key], schedule))
-        state.due[key] = schedule
-    alive = alive[~recovers]
-    if (len(alive) + len(infect)) * _SCAN_COST > n:
-        alive = np.flatnonzero((status == INFECTIOUS) | (status == ISOLATED))
-    else:
-        alive = np.sort(np.concatenate((alive, infect)))
-    cohort = state.due.pop(day + 1, None)
-    if cohort is not None:
-        status[cohort[status[cohort] == INFECTIOUS]] = ISOLATED
-    state.alive = alive
+    state.alive = alive[~recovers]
     state.removed += len(recover)
     state.day += 1
+    _admit(state, infect, draws, params)
     return metrics_from_state(graph, state)
 
 

@@ -423,8 +423,10 @@ class TestDde:
         assert flat.read_bytes() != out.read_bytes()
 
     @pytest.mark.parametrize("system", ["homogeneous", "reduced"])
+    # at rate -1000 the history read at -t_delay, exp(1000), passes the float range
     @pytest.mark.parametrize("bad", [["--i0", "nan"], ["--i0", "inf"],
-                                     ["--history-rate", "nan"], ["--history-rate=-inf"]])
+                                     ["--history-rate", "nan"], ["--history-rate=-inf"],
+                                     ["--history-rate=-1000"]])
     def test_non_finite_history(self, system, bad, tmp_path, capsys):
         assert run_cli("dde", "--system", system, "--t-delay", "1", *bad,
                        "--out", str(tmp_path / "x.csv")) == 1

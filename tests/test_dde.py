@@ -54,6 +54,14 @@ class TestGrowthEstimator:
         assert fit.rate == pytest.approx(0.2, abs=1e-10)
         assert fit.residual_rms < 1e-12
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        traj = synthetic_exponential(0.2)
+        series = traj.component("x").copy()
+        series[100] = bad
+        with pytest.raises(ModelError, match="non-finite samples"):
+            estimate_growth_rate(traj, series, (0.0, 20.0))
+
     def test_nonpositive_samples_rejected(self):
         times = np.linspace(0, 10, 11)
         states = np.linspace(1.0, -0.5, 11)[:, None]
@@ -186,6 +194,15 @@ class TestHistory:
     def test_non_finite_rejected(self, y0, rate):
         with pytest.raises(ModelError, match="history"):
             History(y0, rate)
+
+    def test_overflow_refused(self):
+        # exp(1000) and exp(1e6) pass the float range
+        with pytest.raises(ModelError, match="history .* beyond the float range"):
+            History([0.9, 0.1], -1000.0)(-1.0)
+        p = EpidemicParams(rho=0.0, gamma=0.1, alpha=0.5, t_delay=1.0)
+        traj = integrate_homogeneous(p, 0.3, History([0.99, 0.01, 0.0], -1.0), 5.0, 0.05)
+        with pytest.raises(ModelError, match="history .* beyond the float range"):
+            traj.sample(-1e6)
 
     def test_rate_zero_is_constant(self):
         y0 = [0.3, 1.0 / 7.0]
@@ -557,6 +574,14 @@ class TestDenseOutput:
         traj = integrate_homogeneous(p, 0.3, constant_history([0.99, 0.01, 0.0]), 5.0, 0.05)
         with pytest.raises(ModelError, match="beyond integrated horizon"):
             traj.sample(traj.times[-1] + 0.01)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_refused(self, t):
+        # a rate-0 history would read 0*-inf as NaN
+        p = EpidemicParams(rho=0.0, gamma=0.1, alpha=0.5, t_delay=1.0)
+        traj = integrate_homogeneous(p, 0.3, constant_history([0.99, 0.01, 0.0]), 5.0, 0.05)
+        with pytest.raises(ModelError, match="t must be finite"):
+            traj.sample(t)
 
     def test_history_of_wrong_dimension_refused(self):
         p = EpidemicParams(rho=0.0, gamma=0.1, alpha=0.5, t_delay=1.0)

@@ -169,8 +169,29 @@ class TestStepSemantics:
             assert np.all(np.isin(state.status[cohort], (ISOLATED, REMOVED)))
             assert np.any(state.status[cohort] == ISOLATED)
 
+    def test_half_day_delay_rounds_half_to_even(self):
+        # round(2.5) is 2: the seeds, infected on day 1, fall due on day 3,
+        # and the cases infected on day d on day d + 2
+        g = generate_graph("config-poisson", 2000, 4.0, 9)
+        p = base_params(rho=0.5, alpha=1.0, t_delay=2.5)
+        rng = np.random.default_rng(3)
+        seeds = seed_infections(g, 10, "uniform", rng)
+        state = init_state(g, seeds, p, rng)
+        assert pending(state) == {3: sorted(seeds.tolist())}
+        for _ in range(4):
+            before = state.status == SUSCEPTIBLE
+            step_day(g, state, p, rng)
+            new = np.flatnonzero(before & (state.status != SUSCEPTIBLE))
+            assert len(new) > 0 and np.all(state.status[new] == INFECTIOUS)
+            assert pending(state)[state.day + 2] == new.tolist()
+            if state.day == 3:
+                assert 3 not in state.due
+                assert np.all(np.isin(state.status[seeds], (ISOLATED, REMOVED)))
+                assert np.any(state.status[seeds] == ISOLATED)
+        assert sorted(pending(state)) == [6, 7]
+
     @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
-    @pytest.mark.parametrize("t_delay", [0.0, 0.4, 2.0])
+    @pytest.mark.parametrize("t_delay", [0.0, 0.4, 0.5, 2.0, 2.5])
     def test_init_state_matches_dense_scan(self, alpha, t_delay):
         # init_state works from its seeds alone; the dense reference scans
         # every node, and both must leave the generator in the same place
@@ -190,7 +211,7 @@ class TestStepSemantics:
         assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
         # seeds are isolated at once only when the delay rounds to 0 days
         isolated = np.count_nonzero(status == ISOLATED)
-        if alpha == 0.0 or t_delay == 2.0:
+        if alpha == 0.0 or round(t_delay) != 0:
             assert isolated == 0
         elif alpha == 1.0:
             assert isolated == 50
