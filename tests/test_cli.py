@@ -392,7 +392,41 @@ class TestDde:
                        "--t-delay", tau, "--history-rate", rate, "--out", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("window", ["10", "10,20,30", "nan,30", "10,inf", "30,10", "10,10"])
+    # the same for the partitioned system on five degrees (dt 0.01, horizon
+    # 10.005, so the grid ends in a short step), frozen, dynamic and paired
+    # with the reduced one, at delays of 0, 4 steps and 100 steps
+    @pytest.mark.parametrize("mode,tau,digest", [
+        ("frozen", "0",
+         "26aeeb73c0f0703cb58508f5b0d8f8ece5db8113a56ed0ecab895101e51d587a"),
+        ("frozen", "0.04",
+         "9f7f2bbd4b04ad11986d0e37d35077018148f9185ff303b66c55948bcfecd360"),
+        ("frozen", "1",
+         "bd6ff0fceaefde95616e4a59260eb826a53855e7366ee9c98532851800e5c730"),
+        ("dynamic", "0",
+         "2d6f8958e87999aa4f64f0ec214d5a7ca11ebee5b1f6ee83b59d9c3d91d20ec4"),
+        ("dynamic", "0.04",
+         "f01419f9fc9dd73c270ad4ecec631077b6aba6bae28ae2c700a22c7f10a40438"),
+        ("dynamic", "1",
+         "6f1e9b549ed6c33f8204381cb6ed31ce1a8e1e3af87add63cec9d85932b322a9"),
+        ("paired", "0",
+         "8b90f54ef2d8edd1817f27745c1aee5002213a414b1eecbe26f4ac02a680b84a"),
+        ("paired", "0.04",
+         "83fe309d22749e5f4ea6348a618448247ec6f6bb3e3ec08b463f0cddcd5927f0"),
+        ("paired", "1",
+         "5c931a9eb17b91d066e5c23981b713f2e456f002a84bf2bbce1954c37227e039"),
+    ])
+    def test_partitioned_csv_bytes(self, mode, tau, digest, tmp_path, capsys):
+        dist = tmp_path / "dist.csv"
+        dist.write_text("k,count\n1,300\n2,250\n3,200\n5,150\n8,100\n", encoding="utf-8")
+        out = tmp_path / "traj.csv"
+        flags = [] if mode == "frozen" else [f"--{mode}"]
+        assert run_cli("dde", "--system", "partitioned", "--dist", str(dist), "--rho", "0.075",
+                       "--alpha", "0.8", "--t-delay", tau, "--history-rate", "0.05",
+                       "--horizon", "10.005", "--fit-window", "5,10", *flags,
+                       "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("window",["10", "10,20,30", "nan,30", "10,inf", "30,10", "10,10"])
     def test_malformed_fit_window(self, window, tmp_path, capsys):
         assert run_cli("dde", "--system", "homogeneous", "--fit-window", window,
                        "--out", str(tmp_path / "x.csv")) == 1
