@@ -27,18 +27,23 @@ already-completed history; at tau = 0 each stage reads its own state as the
 delayed one. dt and the horizon must be finite, and the time grid may hold
 at most MAX_GRID_VALUES values.
 
-_integrate is the one method-of-steps driver. Where a delayed lookup falls
-depends on the time grid and tau, not on the state, so it plans the lookups
-of a block of _BLOCK steps at once (_plan): one vectorised _hermite call
-gives every query its node index and Hermite weights, with a scalar loop's
-operations in its order. It splits the block into segments whose lookups
+_integrate is the one method-of-steps driver, and it settles the run-level
+rules once. Where a delayed lookup falls depends on the time grid and tau,
+not on the state, so it plans the lookups of a block of _BLOCK steps at
+once (_plan): one vectorised _hermite call gives every query its node index
+and Hermite weights, with a scalar loop's operations in its order. As
+dt <= tau/4 puts every lookup behind its step, one bracket rule serves the
+plan and Trajectory.sample alike: the guess from the grid, clamped to it and
+moved down only. The driver splits the block into segments whose lookups
 read only nodes computed before the segment starts, about tau/dt - 1 steps
 each. For each segment it gathers the delayed states in one numpy pass
-(_delayed), hands them to the system's stepper, and stops the run with
-IntegrationError at the first step whose state passed BLOW_UP_CAP.
-Trajectory.sample goes through _hermite and _gather too, so there is one
-dense-output routine. Beyond the node arrays a run's working memory is
-bounded by _BLOCK and _GATHER_VALUES, not by the length of the grid.
+(_delayed), hands them to the system's stepper with the run's cap
+(BLOW_UP_CAP, read once a run and bounded to the float range, so a
+non-finite state fails it too), and stops the run with IntegrationError at
+the first step whose state passed it. Trajectory.sample goes through
+_hermite and _gather too, so there is one dense-output routine. Beyond the
+node arrays a run's working memory is bounded by _BLOCK and _GATHER_VALUES,
+not by the length of the grid.
 
 The steppers run one segment's RK4 steps each. The partitioned systems
 step whole state vectors as numpy expressions (_rk4_arrays), so the Python
@@ -48,8 +53,9 @@ costs more than its arithmetic, so each has its own stepper
 (_rk4_homogeneous, _rk4_reduced) that keeps the state and derivative in
 local floats. Each system's formula is written once, as a scalar function
 f(*y, y_del) of the state and the one delayed component it reads; it also
-gives _integrate the first derivative. These steppers read only that
-component of the gathered delayed states. Every stepper evaluates each
+gives _integrate the first derivative. Their adapter (_scalar_system) picks
+that component from the gathered delayed states once a segment and hands
+it to the stepper as a list of floats. Every stepper evaluates each
 component in the same IEEE operation order, so integration is bit-for-bit
 reproducible for identical inputs.
 """
@@ -58,7 +64,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,10 +92,13 @@ class IntegrationError(RuntimeError):
 class History:
     """Initial-history function on [-tau, 0]: y(theta) = y0 * exp(rate*theta),
     with y0 and rate finite. It is read at finite theta only; a theta whose
-    exp(rate*theta) passes the float range raises ModelError."""
+    exp(rate*theta), or its product with a component of y0, passes the float
+    range raises ModelError."""
 
     y0: np.ndarray
     rate: float = 0.0
+    # the largest |y0|, whose product overflows first
+    _peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y0 = np.asarray(self.y0, dtype=np.float64).copy()
@@ -101,13 +110,18 @@ class History:
         y0.setflags(write=False)
         object.__setattr__(self, "y0", y0)
         object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "_peak", float(np.max(np.abs(y0), initial=0.0)))
 
     def __call__(self, theta: float) -> np.ndarray:
         try:
-            return self.y0 * math.exp(self.rate * theta)
+            factor = math.exp(self.rate * theta)
         except OverflowError:
-            raise ModelError(f"history exp(rate*theta) at rate {self.rate:g}, theta "
-                             f"{theta:g} is beyond the float range") from None
+            factor = math.inf
+        # past the range the product is inf, or NaN for an inf exp at a zero peak
+        if not self._peak * factor < math.inf:
+            raise ModelError(f"history y0*exp(rate*theta) at rate {self.rate:g}, theta "
+                             f"{theta:g} is beyond the float range")
+        return self.y0 * factor
 
 
 def constant_history(y0) -> History:
@@ -141,7 +155,7 @@ class Trajectory:
         t, times = float(t), self.times
         if t <= times[0]:
             return self.history(t - times[0])
-        found = _hermite(np.array([t]), times, len(times) - 1, times[1] - times[0])
+        found = _hermite(np.array([t]), times, times[1] - times[0])
         return _gather(self.states, self.derivs, *found)[0]
 
     def to_csv(self, path) -> None:
@@ -160,30 +174,25 @@ class GrowthFit:
     window: tuple[float, float]
 
 
-def _hermite(t, times, filled, dt):
-    """Cubic Hermite weights at the query times t > times[0] (an array),
-    query j interpolating over the first filled[j] steps (filled may be one
-    int for every query).
+def _hermite(t, times, dt):
+    """Cubic Hermite weights at the query times t > times[0] (an array) up to
+    times[-1].
 
     Returns (i, h00, h10*h, h01, h11*h), one entry a query: the state at
     t[j] is h00*y[i] + (h10*h)*y'[i] + h01*y[i+1] + (h11*h)*y'[i+1], summed
     in that order (_gather). Each query takes a scalar loop's steps: the
-    guess int((t - t0)/dt), clamped to [0, filled - 1], moved down while its
-    node lies after t, then up while the next node lies before t.
+    guess int((t - t0)/dt), clamped to [0, len(times) - 2], moved down while
+    its node lies after t. The guess is never below the query's interval:
+    _make_times puts node k at k*dt rounded, so a t above times[k] has
+    t/dt > k*(1 - 2**-106), which rounds to at least k.
     """
     t0 = times[0]
-    last = filled - 1
-    i = np.maximum(np.minimum(((t - t0) / dt).astype(np.intp), last), 0)
+    i = np.maximum(np.minimum(((t - t0) / dt).astype(np.intp), len(times) - 2), 0)
     while True:
         down = (i > 0) & (times[i] > t)
         if not down.any():
             break
         i -= down
-    while True:
-        up = (i < last) & (times[i + 1] < t)
-        if not up.any():
-            break
-        i += up
     ti = times[i]
     h = times[i + 1] - ti
     th = (t - ti) / h
@@ -215,7 +224,8 @@ _BLOCK = 256
 def _plan(times, b0, b1, dt, tau):
     """The delayed lookups of steps b0..b1-1, two a step in step order: at
     t + h/2 - tau (stages 2 and 3) and at t + h - tau (stage 4 and the next
-    node's derivative), step m's over its first m steps.
+    node's derivative). As dt <= tau/4, each lies about three steps or more
+    behind its step, among nodes computed before it.
 
     Returns the lookups (q, i, w00, w10, w01, w11), one entry a query, i
     being -1 where q <= times[0] and the history answers; and ends, where
@@ -227,14 +237,13 @@ def _plan(times, b0, b1, dt, tau):
     q = np.empty(2 * (b1 - b0))
     q[0::2] = t + 0.5 * h - tau
     q[1::2] = t + h - tau
-    steps = np.arange(b0, b1)
-    i, *weights = _hermite(q, times, np.repeat(steps, 2), dt)
+    i, *weights = _hermite(q, times, dt)
     i[q <= times[0]] = -1
     # a query reads nodes i and i + 1; the running maximum ends a segment
     # before the first step that reads past its start even if an index
     # were to step back
     top = np.maximum.accumulate(np.maximum(i[0::2], i[1::2]))
-    return (q, i, *weights), np.searchsorted(top, steps).tolist()
+    return (q, i, *weights), np.searchsorted(top, np.arange(b0, b1)).tolist()
 
 
 def _delayed(lookups, r0, r1, states, derivs, history):
@@ -258,8 +267,8 @@ def _rk4_arrays(rhs, tl, states, derivs, m0, dels, cap):
 
     rhs(y, y_del) returns the derivative as a new array. dels holds the
     delayed states, two rows a step, or is None at tau = 0, where each stage
-    is its own delayed state. Returns the steps done: fewer than
-    len(tl) - 1 when the state passed `cap` or stopped being finite.
+    is its own delayed state. cap is finite. Returns the steps done: fewer
+    than len(tl) - 1 when the state passed `cap` or stopped being finite.
     """
     lag = dels is not None
     for j in range(len(tl) - 1):
@@ -270,39 +279,34 @@ def _rk4_arrays(rhs, tl, states, derivs, m0, dels, cap):
         y, d = states[m], derivs[m]
 
         # stages 2 and 3 share the delayed lookup at t + h/2 - tau
-        if lag:
-            y_del = dels[2 * j]
         y_tmp = y + half * d
-        k2 = rhs(y_tmp, y_del if lag else y_tmp)
+        k2 = rhs(y_tmp, dels[2 * j] if lag else y_tmp)
         y_tmp = y + half * k2
-        k3 = rhs(y_tmp, y_del if lag else y_tmp)
+        k3 = rhs(y_tmp, dels[2 * j] if lag else y_tmp)
 
         # stage 4 and the next node derivative share the lookup at t + h - tau
-        if lag:
-            y_del = dels[2 * j + 1]
         y_tmp = y + h * k3
-        k4 = rhs(y_tmp, y_del if lag else y_tmp)
+        k4 = rhs(y_tmp, dels[2 * j + 1] if lag else y_tmp)
 
         y_new = y + (h / 6.0) * (d + 2.0 * k2 + 2.0 * k3 + k4)
-        # the ufunc reduction skips max()'s Python wrapper; NaN propagates
+        # the ufunc reduction skips max()'s Python wrapper; NaN propagates,
+        # and NaN and inf fail the finite cap
         peak = np.maximum.reduce(np.abs(y_new))
-        if not math.isfinite(peak) or peak > cap:
+        if not peak <= cap:
             return j
         states[m + 1] = y_new
-        derivs[m + 1] = rhs(y_new, y_del if lag else y_new)
+        derivs[m + 1] = rhs(y_new, dels[2 * j + 1] if lag else y_new)
     return len(tl) - 1
 
 
 def _rk4_reduced(f, tl, states, derivs, m0, dels, cap):
     """_rk4_arrays' segment for the reduced system, (I, lambda) in local
     floats, each expression taken component by component in the same order
-    (the same bits). f(i, lam, lam_del) is the system's formula. The nodes
-    are written into the arrays when the segment ends. Returns the steps
-    done, as _rk4_arrays does."""
+    (the same bits). f(i, lam, lam_del) is the system's formula, and dels
+    the delayed lambda as a list of floats, two a step, or None at tau = 0.
+    The nodes are written into the arrays when the segment ends. Returns
+    the steps done, as _rk4_arrays does; a non-finite state fails the cap."""
     lag = dels is not None
-    if lag:
-        dels = dels[:, 1].tolist()
-    cap = min(cap, sys.float_info.max)  # a non-finite state fails the cap too
     i, lam = states[m0].tolist()
     di, dlam = derivs[m0].tolist()
     y_nodes, d_nodes = [], []
@@ -330,11 +334,9 @@ def _rk4_reduced(f, tl, states, derivs, m0, dels, cap):
 
 def _rk4_homogeneous(f, tl, states, derivs, m0, dels, cap):
     """_rk4_reduced's segment for the homogeneous system, (S, I, R) in local
-    floats; f(s, i, r, i_del) is the system's formula."""
+    floats; f(s, i, r, i_del) is the system's formula and dels the delayed
+    I."""
     lag = dels is not None
-    if lag:
-        dels = dels[:, 1].tolist()
-    cap = min(cap, sys.float_info.max)
     s, i, r = states[m0].tolist()
     ds, di, dr = derivs[m0].tolist()
     y_nodes, d_nodes = [], []
@@ -363,8 +365,12 @@ def _rk4_homogeneous(f, tl, states, derivs, m0, dels, cap):
 
 def _scalar_system(stepper, f):
     """_integrate's kernel and rhs for a system stepped in floats: stepper
-    with the formula f(*y, y_del), y_del the delayed component 1."""
-    return (lambda _, *segment: stepper(f, *segment)), (lambda y, y_del: f(*y, y_del[1]))
+    with the formula f(*y, y_del), y_del the delayed component 1, which the
+    kernel picks from the gathered delayed states once a segment."""
+    def kernel(_, tl, states, derivs, m0, dels, cap):
+        dels = None if dels is None else dels[:, 1].tolist()
+        return stepper(f, tl, states, derivs, m0, dels, cap)
+    return kernel, (lambda y, y_del: f(*y, y_del[1]))
 
 
 def _make_times(t_end: float, dt: float) -> np.ndarray:
@@ -403,6 +409,7 @@ def _integrate(kernel, rhs, history, components, t_end, dt, tau):
     # that its block's end cuts short is planned again with the next block
     # unless it is the block's first
     most = max(1, _GATHER_VALUES // (2 * len(y0)))
+    cap = min(BLOW_UP_CAP, sys.float_info.max)  # a non-finite state fails it too
     n = len(times) - 1
     b0 = 0
     while b0 < n:
@@ -416,7 +423,7 @@ def _integrate(kernel, rhs, history, components, t_end, dt, tau):
                 break
             m0 = b0 + k
             dels = _delayed(lookups, 2 * k, 2 * e, states, derivs, history) if lag else None
-            done = kernel(rhs, tl[k:e + 1], states, derivs, m0, dels, BLOW_UP_CAP)
+            done = kernel(rhs, tl[k:e + 1], states, derivs, m0, dels, cap)
             if done < e - k:
                 t_last = float(times[m0 + done])
                 raise IntegrationError(f"state magnitude exceeded cap {BLOW_UP_CAP:g} after "

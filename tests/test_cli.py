@@ -426,7 +426,7 @@ class TestDde:
                        "--out", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("window",["10", "10,20,30", "nan,30", "10,inf", "30,10", "10,10"])
+    @pytest.mark.parametrize("window", ["10", "10,20,30", "nan,30", "10,inf", "30,10", "10,10"])
     def test_malformed_fit_window(self, window, tmp_path, capsys):
         assert run_cli("dde", "--system", "homogeneous", "--fit-window", window,
                        "--out", str(tmp_path / "x.csv")) == 1
@@ -465,6 +465,20 @@ class TestDde:
         assert run_cli("dde", "--system", system, "--t-delay", "1", *bad,
                        "--out", str(tmp_path / "x.csv")) == 1
         assert capsys.readouterr().err.startswith("error: history")
+
+    def test_history_product_overflow(self, tmp_path, capsys):
+        # exp(709.5) is finite, but the seeded counts Y_k(0) above 1 times it
+        # are not: one error line, exit 1 and no numpy overflow warning
+        dist = tmp_path / "dist.csv"
+        dist.write_text("k,count\n2,600000\n5,400000\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("dde", "--system", "partitioned", "--dist", str(dist),
+                           "--rho", "0.05", "--alpha", "0.8", "--t-delay", "1",
+                           "--history-rate=-709.5", "--out", str(tmp_path / "x.csv")) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: history") and err.count("\n") == 1
 
     @pytest.mark.parametrize("system", ["homogeneous", "reduced"])
     def test_dist_sets_mixing_rate(self, system, tmp_path):

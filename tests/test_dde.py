@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -203,6 +204,22 @@ class TestHistory:
         traj = integrate_homogeneous(p, 0.3, History([0.99, 0.01, 0.0], -1.0), 5.0, 0.05)
         with pytest.raises(ModelError, match="history .* beyond the float range"):
             traj.sample(-1e6)
+
+    def test_product_overflow_refused(self):
+        # exp(709.5) is finite; its product with the largest |y0| decides,
+        # exactly where the product itself would pass the float range
+        factor = math.exp(709.5)
+        c = sys.float_info.max / factor
+        while c * factor < math.inf:
+            c = math.nextafter(c, math.inf)
+        for y0 in ([c, 0.0, 1e-3], [1e-3, -c], [0.0, 2.0]):
+            with pytest.raises(ModelError, match="history .* beyond the float range"):
+                History(y0, -709.5)(-1.0)
+        inside = [math.nextafter(c, 0.0), 0.0, -1e-3]
+        assert same_bits(History(inside, -709.5)(-1.0), np.array(inside) * factor)
+        # an exp that overflows is refused whatever y0 holds
+        with pytest.raises(ModelError, match="history .* beyond the float range"):
+            History([0.0, 0.0], -1000.0)(-1.0)
 
     def test_rate_zero_is_constant(self):
         y0 = [0.3, 1.0 / 7.0]
@@ -559,6 +576,34 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * (traj.states.nbytes + traj.derivs.nbytes)
+
+
+class TestHermiteBracket:
+    # the lookup's guess int((t - t0)/dt), clamped to the grid, is never
+    # below the query's interval, so moving it down alone brackets t
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(dt=st.floats(1e-3, 1.0), steps=st.integers(1, 100_000),
+           tail=st.just(0.0) | st.floats(0.01, 0.99), data=st.data())
+    def test_guess_never_below_bracket(self, dt, steps, tail, data):
+        times = _make_times((steps + tail) * dt, dt)
+        nodes = data.draw(st.lists(st.integers(0, len(times) - 1), min_size=1, max_size=20))
+        ulps = data.draw(st.lists(st.integers(-4, 4), min_size=len(nodes), max_size=len(nodes)))
+        queries = []
+        for k, n in zip(nodes, ulps):
+            t = float(times[k])
+            for _ in range(abs(n)):
+                t = math.nextafter(t, math.copysign(math.inf, n))
+            queries.append(t)
+        span = float(times[-1] - times[0])
+        queries += [float(times[0]) + u * span
+                    for u in data.draw(st.lists(st.floats(0.0, 1.0), max_size=20))]
+        t = np.array([q for q in queries if times[0] < q <= times[-1]])
+        assume(len(t))
+        i = dde._hermite(t, times, dt)[0]
+        assert ((0 <= i) & (i <= len(times) - 2)).all()
+        assert ((times[i] <= t) & (t <= times[i + 1])).all()
+        guess = np.clip(((t - times[0]) / dt).astype(np.intp), 0, len(times) - 2)
+        assert (guess >= i).all()
 
 
 class TestDenseOutput:
