@@ -45,17 +45,26 @@ _hermite and _gather too, so there is one dense-output routine. Beyond the
 node arrays a run's working memory is bounded by _BLOCK and _GATHER_VALUES,
 not by the length of the grid.
 
-The steppers run one segment's RK4 steps each. The partitioned systems
-step whole state vectors as numpy expressions (_rk4_arrays), so the Python
-cost of a step does not grow with the number of degrees. The homogeneous
-and reduced systems have three and two components, for which a numpy call
-costs more than its arithmetic, so each has its own stepper
-(_rk4_homogeneous, _rk4_reduced) that keeps the state and derivative in
-local floats. Each system's formula is written once, as a scalar function
-f(*y, y_del) of the state and the one delayed component it reads; it also
-gives _integrate the first derivative. Their adapter (_scalar_system) picks
-that component from the gathered delayed states once a segment and hands
-it to the stepper as a list of floats. Every stepper evaluates each
+The steppers run one segment's RK4 steps each, with overflow silent (the
+driver runs them under np.errstate) and the cap telling the run to stop.
+The partitioned systems step whole state vectors (_rk4_arrays), so the
+Python cost of a step does not grow with the number of degrees. A step
+there is a few dozen numpy calls that write into stage rows allocated once
+a segment, the new node and its derivative straight into the node arrays,
+and allocate nothing; the cap is tested once a segment, over its new
+nodes, and the first failing step is the one reported. Their rhs(y, y_del,
+out) writes the derivative into out and takes as y_del the delayed product
+iso * Y(t - tau): their adapter (_array_system) multiplies a segment's
+gathered delayed states by iso in one numpy call, and at tau = 0 the rhs
+forms iso * Y from its own state. The homogeneous and reduced systems have
+three and two components, for which a numpy call costs more than its
+arithmetic, so each has its own stepper (_rk4_homogeneous, _rk4_reduced)
+that keeps the state and derivative in local floats. Each system's formula
+is written once, as a scalar function f(*y, y_del) of the state and the
+one delayed component it reads; their adapter (_scalar_system) picks that
+component from the gathered delayed states once a segment and hands it to
+the stepper as a list of floats. Each adapter also gives _integrate the
+first derivative, in the rhs contract above. Every stepper evaluates each
 component in the same IEEE operation order, so integration is bit-for-bit
 reproducible for identical inputs.
 """
@@ -263,40 +272,52 @@ def _delayed(lookups, r0, r1, states, derivs, history):
 
 def _rk4_arrays(rhs, tl, states, derivs, m0, dels, cap):
     """RK4 steps m0..m0 + len(tl) - 2 of a segment at the node times tl,
-    each stage one whole-vector expression, written into the node arrays.
+    each stage a few whole-vector numpy calls into buffers allocated once a
+    segment; each new node and its derivative are written straight into
+    the node arrays.
 
-    rhs(y, y_del) returns the derivative as a new array. dels holds the
-    delayed states, two rows a step, or is None at tau = 0, where each stage
-    is its own delayed state. cap is finite. Returns the steps done: fewer
-    than len(tl) - 1 when the state passed `cap` or stopped being finite.
+    rhs(y, y_del, out) writes the derivative into out. dels holds the rows
+    rhs takes as y_del, two a step, or is None at tau = 0, where rhs is
+    given None. cap is finite. Returns the steps done: fewer than
+    len(tl) - 1 when the state passed `cap` or stopped being finite. The
+    steps after a failing one still run (the driver keeps overflow silent)
+    and are discarded with the run.
     """
-    lag = dels is not None
-    for j in range(len(tl) - 1):
-        m = m0 + j
-        t = tl[j]
-        h = tl[j + 1] - t
-        half = 0.5 * h
-        y, d = states[m], derivs[m]
-
-        # stages 2 and 3 share the delayed lookup at t + h/2 - tau
-        y_tmp = y + half * d
-        k2 = rhs(y_tmp, dels[2 * j] if lag else y_tmp)
-        y_tmp = y + half * k2
-        k3 = rhs(y_tmp, dels[2 * j] if lag else y_tmp)
-
-        # stage 4 and the next node derivative share the lookup at t + h - tau
-        y_tmp = y + h * k3
-        k4 = rhs(y_tmp, dels[2 * j + 1] if lag else y_tmp)
-
-        y_new = y + (h / 6.0) * (d + 2.0 * k2 + 2.0 * k3 + k4)
-        # the ufunc reduction skips max()'s Python wrapper; NaN propagates,
-        # and NaN and inf fail the finite cap
-        peak = np.maximum.reduce(np.abs(y_new))
-        if not peak <= cap:
-            return j
-        states[m + 1] = y_new
-        derivs[m + 1] = rhs(y_new, dels[2 * j + 1] if lag else y_new)
-    return len(tl) - 1
+    steps = len(tl) - 1
+    y_tmp, k2, k3, k4 = stages = np.empty((4, states.shape[1]))
+    k23 = stages[1:3]
+    # a 0-d array operand costs numpy less than a float: the step's h/2, h
+    # and h/6, and 2
+    half, full, sixth = np.empty(()), np.empty(()), np.empty(())
+    two = np.array(2.0)
+    add, mul = np.add, np.multiply
+    new = slice(m0 + 1, m0 + 1 + steps)
+    # stages 2 and 3 share the delayed lookup at t + h/2 - tau, stage 4 and
+    # the next node's derivative the one at t + h - tau
+    lags = (dels[0::2], dels[1::2]) if dels is not None else ([None] * steps,) * 2
+    for t, t1, y, d, y_new, d_new, mid, end in zip(tl, tl[1:], states[m0:], derivs[m0:],
+                                                   states[new], derivs[new], *lags):
+        h = t1 - t
+        half[()] = 0.5 * h
+        full[()] = h
+        sixth[()] = h / 6.0
+        add(y, mul(half, d, y_tmp), y_tmp)
+        rhs(y_tmp, mid, k2)
+        add(y, mul(half, k2, y_tmp), y_tmp)
+        rhs(y_tmp, mid, k3)
+        add(y, mul(full, k3, y_tmp), y_tmp)
+        rhs(y_tmp, end, k4)
+        # y + (h/6)*(d + 2*k2 + 2*k3 + k4), summed left to right
+        mul(k23, two, k23)
+        add(d, k2, k2)
+        add(k2, k3, k2)
+        add(k2, k4, k2)
+        add(y, mul(sixth, k2, k2), y_new)
+        rhs(y_new, end, d_new)
+    # NaN propagates through the row maxima, and NaN and inf fail the
+    # finite cap
+    ok = np.maximum.reduce(np.abs(states[new]), axis=1) <= cap
+    return steps if ok.all() else int(ok.argmin())
 
 
 def _rk4_reduced(f, tl, states, derivs, m0, dels, cap):
@@ -367,10 +388,30 @@ def _scalar_system(stepper, f):
     """_integrate's kernel and rhs for a system stepped in floats: stepper
     with the formula f(*y, y_del), y_del the delayed component 1, which the
     kernel picks from the gathered delayed states once a segment."""
-    def kernel(_, tl, states, derivs, m0, dels, cap):
+    def kernel(tl, states, derivs, m0, dels, cap):
         dels = None if dels is None else dels[:, 1].tolist()
         return stepper(f, tl, states, derivs, m0, dels, cap)
-    return kernel, (lambda y, y_del: f(*y, y_del[1]))
+
+    def first(y, y_del, out):
+        out[:] = f(*y, y_del[1])
+    return kernel, first
+
+
+def _array_system(rhs, iso, lo):
+    """_integrate's kernel and rhs for a partitioned system stepped by
+    _rk4_arrays: rhs(y, iso_del, out) takes the delayed product iso *
+    Y(t - tau), Y the components lo: of the delayed state, or None at
+    tau = 0, where it forms iso * Y from y itself. The kernel multiplies a
+    segment's gathered delayed states by iso once, in place."""
+    def kernel(tl, states, derivs, m0, dels, cap):
+        if dels is not None:
+            dels = dels[:, lo:]
+            dels *= iso
+        return _rk4_arrays(rhs, tl, states, derivs, m0, dels, cap)
+
+    def first(y, y_del, out):
+        rhs(y, iso * y_del[lo:], out)
+    return kernel, first
 
 
 def _make_times(t_end: float, dt: float) -> np.ndarray:
@@ -401,10 +442,6 @@ def _integrate(kernel, rhs, history, components, t_end, dt, tau):
     derivs = np.empty_like(states)
     states[0] = y0
     lag = tau > 0.0
-    y_del = history(-tau) if lag else y0
-    # overflow is silent here, as in the float steppers; the cap stops it
-    with np.errstate(over="ignore", invalid="ignore"):
-        derivs[0] = rhs(y0, y_del)
     # a segment gathers at most _GATHER_VALUES values (or one step's); one
     # that its block's end cuts short is planned again with the next block
     # unless it is the block's first
@@ -412,24 +449,28 @@ def _integrate(kernel, rhs, history, components, t_end, dt, tau):
     cap = min(BLOW_UP_CAP, sys.float_info.max)  # a non-finite state fails it too
     n = len(times) - 1
     b0 = 0
-    while b0 < n:
-        b1 = min(b0 + _BLOCK, n)
-        tl = times[b0:b1 + 1].tolist()
-        lookups, ends = _plan(times, b0, b1, dt, tau) if lag else (None, [b1 - b0] * (b1 - b0))
-        k = 0
-        while k < b1 - b0:
-            e = min(ends[k], k + most)
-            if e == b1 - b0 and 0 < k and b1 < n:
-                break
-            m0 = b0 + k
-            dels = _delayed(lookups, 2 * k, 2 * e, states, derivs, history) if lag else None
-            done = kernel(rhs, tl[k:e + 1], states, derivs, m0, dels, cap)
-            if done < e - k:
-                t_last = float(times[m0 + done])
-                raise IntegrationError(f"state magnitude exceeded cap {BLOW_UP_CAP:g} after "
-                                       f"t={t_last:.6g}", t_last=t_last)
-            k = e
-        b0 += k
+    # overflow is silent, as in the float steppers; the cap stops the run
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs(y0, history(-tau) if lag else y0, derivs[0])
+        while b0 < n:
+            b1 = min(b0 + _BLOCK, n)
+            tl = times[b0:b1 + 1].tolist()
+            lookups, ends = (_plan(times, b0, b1, dt, tau) if lag
+                             else (None, [b1 - b0] * (b1 - b0)))
+            k = 0
+            while k < b1 - b0:
+                e = min(ends[k], k + most)
+                if e == b1 - b0 and 0 < k and b1 < n:
+                    break
+                m0 = b0 + k
+                dels = _delayed(lookups, 2 * k, 2 * e, states, derivs, history) if lag else None
+                done = kernel(tl[k:e + 1], states, derivs, m0, dels, cap)
+                if done < e - k:
+                    t_last = float(times[m0 + done])
+                    raise IntegrationError(f"state magnitude exceeded cap {BLOW_UP_CAP:g} "
+                                           f"after t={t_last:.6g}", t_last=t_last)
+                k = e
+            b0 += k
     return Trajectory(times=times, states=states, derivs=derivs,
                       components=tuple(components), history=history)
 
@@ -523,18 +564,27 @@ def integrate_partitioned(
     gamma = params.gamma
     iso = alphas * math.exp(-gamma * tau)
     scale = params.rho / sum_k_n
+    tmp, acc = np.empty((2, n))  # the rhs's scratch rows
+    # a 0-d array operand costs numpy less than a float
+    xi, gamma_0d = np.empty(()), np.array(gamma)
+    add, sub, mul = np.add, np.subtract, np.multiply
 
-    def force(y, y_del):
+    def force(y, iso_del):
         # xi = scale * sum_k k*(Y_k - iso_k*Y_k(t - tau)), summed in degree
         # order as a loop would; np.sum and np.dot use other orders. The 0.0
         # start gives an all-negative-zero sum the loop's sign.
-        return scale * (0.0 + np.add.accumulate(ks * (y - iso * y_del))[-1])
+        if iso_del is None:
+            iso_del = mul(iso, y, tmp)
+        mul(ks, sub(y, iso_del, tmp), tmp)
+        xi[()] = scale * (0.0 + add.accumulate(tmp, out=acc).item(-1))
+        return xi
 
     if dynamic_susceptibles:
-        def rhs(y, y_del):
-            x, y_inf = y[:n], y[n:]
-            flow = ks * x * force(y_inf, y_del[n:])
-            return np.concatenate((-flow, flow - gamma * y_inf))
+        def rhs(y, iso_del, out):
+            y_inf, flow = y[n:], out[:n]
+            mul(mul(ks, y[:n], flow), force(y_inf, iso_del), flow)
+            sub(flow, mul(gamma_0d, y_inf, tmp), out[n:])
+            np.negative(flow, flow)
 
         components = tuple(f"x{k}" for k in range(1, n + 1)) + tuple(
             f"y{k}" for k in range(1, n + 1)
@@ -542,11 +592,12 @@ def integrate_partitioned(
     else:
         k_n = ks * n_k
 
-        def rhs(y, y_del):
-            return k_n * force(y, y_del) - gamma * y
+        def rhs(y, iso_del, out):
+            sub(mul(k_n, force(y, iso_del), out), mul(gamma_0d, y, tmp), out)
 
         components = tuple(f"y{k}" for k in range(1, n + 1))
-    return _integrate(_rk4_arrays, rhs, history, components, t_end, dt, tau)
+    return _integrate(*_array_system(rhs, iso, n if dynamic_susceptibles else 0),
+                      history, components, t_end, dt, tau)
 
 
 def infectious_fraction(traj: Trajectory, dist: DegreeDistribution) -> np.ndarray:

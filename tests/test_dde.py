@@ -502,7 +502,7 @@ class TestStepperOracle:
 
     @pytest.mark.parametrize("first", [True, False])
     @pytest.mark.parametrize("system,cap", [
-        ("reduced", 1.0), ("frozen", 1e4), ("homogeneous", None),
+        ("reduced", 1.0), ("frozen", 1e4), ("alpha-by-degree", 1e5), ("homogeneous", None),
     ])
     def test_blow_up_at_a_segment_edge(self, system, cap, first, monkeypatch):
         # a cap between the peak |state| up to node m and the peak at node
@@ -576,6 +576,26 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * (traj.states.nbytes + traj.derivs.nbytes)
+
+    # 1e4 steps of 17 or 34 components, 2.7 or 5.4 MB of states and
+    # derivatives; the array kernel's stage rows, its delayed products (the
+    # gather, multiplied in place) and its cap test's block stay within
+    # _GATHER_VALUES (0.5 MB), and this peaks near 1.1 times the arrays
+    @pytest.mark.parametrize("dynamic", [False, True])
+    @pytest.mark.parametrize("tau", [0.04, 0.5])
+    def test_array_kernel_keeps_a_bounded_window(self, tau, dynamic):
+        p = EpidemicParams(rho=0.02, gamma=0.1, alpha=0.9, t_delay=tau)
+        n_k = partition_sizes(ORACLE_DIST)
+        y0 = 1e-3 * n_k
+        hist = History(np.concatenate((n_k - y0, y0)) if dynamic else y0)
+        tracemalloc.start()
+        try:
+            traj = integrate_partitioned(p, ORACLE_DIST, hist, 100.0, 0.01,
+                                         dynamic_susceptibles=dynamic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (traj.states.nbytes + traj.derivs.nbytes)
 
 
 class TestHermiteBracket:
@@ -775,6 +795,19 @@ class TestPartitionedSystem:
         traj = integrate_partitioned(p, dist, constant_history(y0), 10.0, 0.01,
                                      degree_proportional=True)
         assert np.all(np.isfinite(traj.states))
+
+    def test_overflow_is_silent_and_stops_the_run(self, monkeypatch):
+        # with no cap below the float range this run's states overflow to
+        # inf; the array stepper must say so with IntegrationError, as the
+        # float steppers do, not with a RuntimeWarning (an error here)
+        dist = DegreeDistribution({1: 500, 2: 400, 3: 300, 4: 200, 5: 100, 6: 50})
+        p = EpidemicParams(rho=0.05, gamma=0.1, alpha=0.8, t_delay=7.3)
+        n_k = partition_sizes(dist)
+        hist = History(np.concatenate((n_k - 0.01 * n_k, 0.5 * n_k)), -0.2)
+        monkeypatch.setattr(dde, "BLOW_UP_CAP", math.inf)
+        with pytest.raises(IntegrationError) as err:
+            integrate_partitioned(p, dist, hist, 40.0, 0.01, dynamic_susceptibles=True)
+        assert 0.0 < err.value.t_last < 40.0
 
 
 class TestConsistentReducedHistory:
