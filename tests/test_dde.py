@@ -580,7 +580,7 @@ class TestMemory:
     # 1e4 steps of 17 or 34 components, 2.7 or 5.4 MB of states and
     # derivatives; the array kernel's stage rows, its delayed products (the
     # gather, multiplied in place) and its cap test's block stay within
-    # _GATHER_VALUES (0.5 MB), and this peaks near 1.1 times the arrays
+    # _GATHER_VALUES (0.5 MB), and this peaks at 1.03-1.07 times the arrays
     @pytest.mark.parametrize("dynamic", [False, True])
     @pytest.mark.parametrize("tau", [0.04, 0.5])
     def test_array_kernel_keeps_a_bounded_window(self, tau, dynamic):
