@@ -254,8 +254,9 @@ def cmd_dde(args) -> int:
         agg = infectious_fraction(traj, dist)
         fit = estimate_growth_rate(traj, agg, window)
         if args.paired:
-            traj_r = integrate_reduced(params, compute_stats(dist),
-                                       consistent_reduced_history(dist, y0, args.rho),
+            # the partitioned history's growth rate, from its consistent start
+            start = consistent_reduced_history(dist, y0, args.rho).y0
+            traj_r = integrate_reduced(params, compute_stats(dist), History(start, rate),
                                        args.horizon, args.dt)
             agg_r = traj_r.component("i")
             gap = float(np.max(np.abs(agg - agg_r) / np.maximum(np.abs(agg_r), 1e-300)))

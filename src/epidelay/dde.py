@@ -37,36 +37,37 @@ plan and Trajectory.sample alike: the guess from the grid, clamped to it and
 moved down only. The driver splits the block into segments whose lookups
 read only nodes computed before the segment starts, about tau/dt - 1 steps
 each. For each segment it gathers the delayed states in one numpy pass
-(_delayed), hands them to the system's stepper with the run's cap
+(_delayed) and hands them to the system's stepper. Once a block's segments
+are stepped it tests the block's new nodes against the run's cap
 (BLOW_UP_CAP, read once a run and bounded to the float range, so a
 non-finite state fails it too), and stops the run with IntegrationError at
-the first step whose state passed it. Trajectory.sample goes through
-_hermite and _gather too, so there is one dense-output routine. Beyond the
-node arrays a run's working memory is bounded by _BLOCK and _GATHER_VALUES,
-not by the length of the grid.
+the first node that passed it; no stepper reads the cap. Trajectory.sample
+goes through _hermite and _gather too, so there is one dense-output
+routine. Beyond the node arrays a run's working memory is bounded by _BLOCK
+and _GATHER_VALUES, not by the length of the grid.
 
-The steppers run one segment's RK4 steps each, with overflow silent (the
-driver runs them under np.errstate) and the cap telling the run to stop.
-The partitioned systems step whole state vectors (_rk4_arrays), so the
+The steppers only step: each runs one segment's RK4 steps, with overflow
+silent (the driver runs them under np.errstate). The steps after a failing
+node run on from inf or NaN until the block ends and are discarded with the
+run. The partitioned systems step whole state vectors (_rk4_arrays), so the
 Python cost of a step does not grow with the number of degrees. A step
 there is a few dozen numpy calls that write into stage rows allocated once
 a segment, the new node and its derivative straight into the node arrays,
-and allocate nothing; the cap is tested once a segment, over its new
-nodes, and the first failing step is the one reported. Their rhs(y, y_del,
-out) writes the derivative into out and takes as y_del the delayed product
-iso * Y(t - tau): their adapter (_array_system) multiplies a segment's
-gathered delayed states by iso in one numpy call, and at tau = 0 the rhs
-forms iso * Y from its own state. The homogeneous and reduced systems have
-three and two components, for which a numpy call costs more than its
-arithmetic, so each has its own stepper (_rk4_homogeneous, _rk4_reduced)
-that keeps the state and derivative in local floats. Each system's formula
-is written once, as a scalar function f(*y, y_del) of the state and the
-one delayed component it reads; their adapter (_scalar_system) picks that
-component from the gathered delayed states once a segment and hands it to
-the stepper as a list of floats. Each adapter also gives _integrate the
-first derivative, in the rhs contract above. Every stepper evaluates each
-component in the same IEEE operation order, so integration is bit-for-bit
-reproducible for identical inputs.
+and allocate nothing. Their rhs(y, y_del, out) writes the derivative into
+out and takes as y_del the delayed product iso * Y(t - tau): their adapter
+(_array_system) multiplies a segment's gathered delayed states by iso in
+one numpy call, and at tau = 0 the rhs forms iso * Y from its own state.
+The homogeneous and reduced systems have three and two components, for
+which a numpy call costs more than its arithmetic, so each has its own
+stepper (_rk4_homogeneous, _rk4_reduced) that keeps the state and
+derivative in local floats. Each system's formula is written once, as a
+scalar function f(*y, y_del) of the state and the one delayed component it
+reads; their adapter (_scalar_system) picks that component from the
+gathered delayed states once a segment and hands it to the stepper as a
+list of floats. Each adapter also gives _integrate the first derivative, in
+the rhs contract above. Every stepper evaluates each component in the same
+IEEE operation order, so integration is bit-for-bit reproducible for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def _delayed(lookups, r0, r1, states, derivs, history):
     return out
 
 
-def _rk4_arrays(rhs, tl, states, derivs, m0, dels, cap):
+def _rk4_arrays(rhs, tl, states, derivs, m0, dels):
     """RK4 steps m0..m0 + len(tl) - 2 of a segment at the node times tl,
     each stage a few whole-vector numpy calls into buffers allocated once a
     segment; each new node and its derivative are written straight into
@@ -278,10 +279,9 @@ def _rk4_arrays(rhs, tl, states, derivs, m0, dels, cap):
 
     rhs(y, y_del, out) writes the derivative into out. dels holds the rows
     rhs takes as y_del, two a step, or is None at tau = 0, where rhs is
-    given None. cap is finite. Returns the steps done: fewer than
-    len(tl) - 1 when the state passed `cap` or stopped being finite. The
-    steps after a failing one still run (the driver keeps overflow silent)
-    and are discarded with the run.
+    given None. Every step runs; overflow is silent (the driver runs the
+    steppers under np.errstate) and the driver tests the new nodes against
+    the cap.
     """
     steps = len(tl) - 1
     y_tmp, k2, k3, k4 = stages = np.empty((4, states.shape[1]))
@@ -314,19 +314,15 @@ def _rk4_arrays(rhs, tl, states, derivs, m0, dels, cap):
         add(k2, k4, k2)
         add(y, mul(sixth, k2, k2), y_new)
         rhs(y_new, end, d_new)
-    # NaN propagates through the row maxima, and NaN and inf fail the
-    # finite cap
-    ok = np.maximum.reduce(np.abs(states[new]), axis=1) <= cap
-    return steps if ok.all() else int(ok.argmin())
 
 
-def _rk4_reduced(f, tl, states, derivs, m0, dels, cap):
+def _rk4_reduced(f, tl, states, derivs, m0, dels):
     """_rk4_arrays' segment for the reduced system, (I, lambda) in local
     floats, each expression taken component by component in the same order
     (the same bits). f(i, lam, lam_del) is the system's formula, and dels
     the delayed lambda as a list of floats, two a step, or None at tau = 0.
-    The nodes are written into the arrays when the segment ends. Returns
-    the steps done, as _rk4_arrays does; a non-finite state fails the cap."""
+    The nodes are written into the arrays when the segment ends; float
+    arithmetic past the float range gives inf or NaN and never raises."""
     lag = dels is not None
     i, lam = states[m0].tolist()
     di, dlam = derivs[m0].tolist()
@@ -343,17 +339,14 @@ def _rk4_reduced(f, tl, states, derivs, m0, dels, cap):
         h6 = h / 6.0
         i += h6 * (di + 2.0 * k2i + 2.0 * k3i + k4i)
         lam += h6 * (dlam + 2.0 * k2l + 2.0 * k3l + k4l)
-        if not (abs(i) <= cap and abs(lam) <= cap):
-            return j
         di, dlam = d = f(i, lam, dels[2 * j + 1] if lag else lam)
         y_nodes.append((i, lam))
         d_nodes.append(d)
     states[m0 + 1:m0 + len(tl)] = y_nodes
     derivs[m0 + 1:m0 + len(tl)] = d_nodes
-    return len(tl) - 1
 
 
-def _rk4_homogeneous(f, tl, states, derivs, m0, dels, cap):
+def _rk4_homogeneous(f, tl, states, derivs, m0, dels):
     """_rk4_reduced's segment for the homogeneous system, (S, I, R) in local
     floats; f(s, i, r, i_del) is the system's formula and dels the delayed
     I."""
@@ -374,23 +367,20 @@ def _rk4_homogeneous(f, tl, states, derivs, m0, dels, cap):
         s += h6 * (ds + 2.0 * k2s + 2.0 * k3s + k4s)
         i += h6 * (di + 2.0 * k2i + 2.0 * k3i + k4i)
         r += h6 * (dr + 2.0 * k2r + 2.0 * k3r + k4r)
-        if not (abs(s) <= cap and abs(i) <= cap and abs(r) <= cap):
-            return j
         ds, di, dr = d = f(s, i, r, dels[2 * j + 1] if lag else i)
         y_nodes.append((s, i, r))
         d_nodes.append(d)
     states[m0 + 1:m0 + len(tl)] = y_nodes
     derivs[m0 + 1:m0 + len(tl)] = d_nodes
-    return len(tl) - 1
 
 
 def _scalar_system(stepper, f):
     """_integrate's kernel and rhs for a system stepped in floats: stepper
     with the formula f(*y, y_del), y_del the delayed component 1, which the
     kernel picks from the gathered delayed states once a segment."""
-    def kernel(tl, states, derivs, m0, dels, cap):
+    def kernel(tl, states, derivs, m0, dels):
         dels = None if dels is None else dels[:, 1].tolist()
-        return stepper(f, tl, states, derivs, m0, dels, cap)
+        stepper(f, tl, states, derivs, m0, dels)
 
     def first(y, y_del, out):
         out[:] = f(*y, y_del[1])
@@ -403,11 +393,11 @@ def _array_system(rhs, iso, lo):
     Y(t - tau), Y the components lo: of the delayed state, or None at
     tau = 0, where it forms iso * Y from y itself. The kernel multiplies a
     segment's gathered delayed states by iso once, in place."""
-    def kernel(tl, states, derivs, m0, dels, cap):
+    def kernel(tl, states, derivs, m0, dels):
         if dels is not None:
             dels = dels[:, lo:]
             dels *= iso
-        return _rk4_arrays(rhs, tl, states, derivs, m0, dels, cap)
+        _rk4_arrays(rhs, tl, states, derivs, m0, dels)
 
     def first(y, y_del, out):
         rhs(y, iso * y_del[lo:], out)
@@ -449,7 +439,7 @@ def _integrate(kernel, rhs, history, components, t_end, dt, tau):
     cap = min(BLOW_UP_CAP, sys.float_info.max)  # a non-finite state fails it too
     n = len(times) - 1
     b0 = 0
-    # overflow is silent, as in the float steppers; the cap stops the run
+    # overflow is silent, as in the float steppers; the cap test stops the run
     with np.errstate(over="ignore", invalid="ignore"):
         rhs(y0, history(-tau) if lag else y0, derivs[0])
         while b0 < n:
@@ -462,14 +452,16 @@ def _integrate(kernel, rhs, history, components, t_end, dt, tau):
                 e = min(ends[k], k + most)
                 if e == b1 - b0 and 0 < k and b1 < n:
                     break
-                m0 = b0 + k
                 dels = _delayed(lookups, 2 * k, 2 * e, states, derivs, history) if lag else None
-                done = kernel(tl[k:e + 1], states, derivs, m0, dels, cap)
-                if done < e - k:
-                    t_last = float(times[m0 + done])
-                    raise IntegrationError(f"state magnitude exceeded cap {BLOW_UP_CAP:g} "
-                                           f"after t={t_last:.6g}", t_last=t_last)
+                kernel(tl[k:e + 1], states, derivs, b0 + k, dels)
                 k = e
+            # the block's new nodes; NaN fails both comparisons
+            new = states[b0 + 1:b0 + k + 1]
+            ok = (new.max(axis=1) <= cap) & (new.min(axis=1) >= -cap)
+            if not ok.all():
+                t_last = float(times[b0 + int(ok.argmin())])
+                raise IntegrationError(f"state magnitude exceeded cap {BLOW_UP_CAP:g} "
+                                       f"after t={t_last:.6g}", t_last=t_last)
             b0 += k
     return Trajectory(times=times, states=states, derivs=derivs,
                       components=tuple(components), history=history)

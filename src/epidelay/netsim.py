@@ -113,13 +113,18 @@ class DayMetrics:
 def seed_infections(graph: ContactGraph, count: int, mode: str,
                     rng: np.random.Generator) -> np.ndarray:
     """Choose initially infectious nodes, uniformly or with probability
-    proportional to degree, without replacement."""
+    proportional to degree, without replacement; degree seeding picks only
+    nodes with a contact."""
     if mode not in SEEDING_MODES:
         raise ModelError(f"unknown seeding mode {mode!r}; choose from {SEEDING_MODES}")
     if not 0 <= count <= graph.node_count:
         raise ModelError(f"cannot seed {count} infections among {graph.node_count} nodes")
     if mode == "uniform":
         return rng.choice(graph.node_count, size=count, replace=False)
+    contacted = int(np.count_nonzero(graph.degrees))
+    if count > contacted:
+        raise ModelError(f"cannot seed {count} infections by degree among the {contacted} "
+                         f"nodes with a contact")
     weights = graph.degrees.astype(np.float64)
     return rng.choice(graph.node_count, size=count, replace=False, p=weights / weights.sum())
 

@@ -340,6 +340,20 @@ class TestDde:
         assert gap < 1e-6
         assert out.read_text().splitlines()[0] == "t,i_partitioned,i_reduced"
 
+    # the reduced twin starts from the partitioned run's history, grown at
+    # the same --history-rate, so the two agree to rounding at every delay
+    @pytest.mark.parametrize("rate", ["0.05", "-0.2"])
+    @pytest.mark.parametrize("tau", ["0.04", "1", "2"])
+    def test_paired_history_rate(self, tau, rate, tmp_path, capsys):
+        dist = tmp_path / "dist.csv"
+        dist.write_text("k,count\n1,300\n2,250\n3,200\n5,150\n8,100\n", encoding="utf-8")
+        assert run_cli("dde", "--system", "partitioned", "--dist", str(dist), "--rho", "0.075",
+                       "--alpha", "0.8", "--t-delay", tau, "--history-rate", rate,
+                       "--horizon", "20", "--fit-window", "5,20", "--paired",
+                       "--out", str(tmp_path / "paired.csv")) == 0
+        line = capsys.readouterr().out.strip()
+        assert float(parse_machine_line(line)["max_rel_gap"]) < 1e-10
+
     def test_partitioned_dynamic_matches_frozen_early(self, tmp_path, capsys):
         dist = tmp_path / "dist.csv"
         dist.write_text("k,count\n1,50\n9,50\n", encoding="utf-8")
@@ -394,7 +408,9 @@ class TestDde:
 
     # the same for the partitioned system on five degrees (dt 0.01, horizon
     # 10.005, so the grid ends in a short step), frozen, dynamic and paired
-    # with the reduced one, at delays of 0, 4 steps and 100 steps
+    # with the reduced one, at delays of 0, 4 steps and 100 steps. The
+    # paired runs' reduced twin reads the growing history too (at tau 0 it
+    # is not read)
     @pytest.mark.parametrize("mode,tau,digest", [
         ("frozen", "0",
          "26aeeb73c0f0703cb58508f5b0d8f8ece5db8113a56ed0ecab895101e51d587a"),
@@ -411,9 +427,9 @@ class TestDde:
         ("paired", "0",
          "8b90f54ef2d8edd1817f27745c1aee5002213a414b1eecbe26f4ac02a680b84a"),
         ("paired", "0.04",
-         "83fe309d22749e5f4ea6348a618448247ec6f6bb3e3ec08b463f0cddcd5927f0"),
+         "4ce639dd327d5f7e96a754c2c0b1f506242888bf729c38c42be2692ed8207a9e"),
         ("paired", "1",
-         "5c931a9eb17b91d066e5c23981b713f2e456f002a84bf2bbce1954c37227e039"),
+         "96fc93b71470c00407ddb9f00ed1c0a1a373b339058c0496bddc402962246b2f"),
     ])
     def test_partitioned_csv_bytes(self, mode, tau, digest, tmp_path, capsys):
         dist = tmp_path / "dist.csv"
@@ -684,7 +700,12 @@ class TestNetsim:
                                      ["--threads", "0"], ["--threads", "-3"],
                                      # oversized graphs fail before any allocation
                                      ["--nodes", "100000000000"],
-                                     ["--nodes", "200000", "--mu", "150000"]])
+                                     ["--nodes", "200000", "--mu", "150000"],
+                                     # about 180 of the 500 config-poisson
+                                     # nodes have no contact at mu 1 (and
+                                     # barabasi-albert cannot reach mu 1)
+                                     ["--mu", "1", "--seeding", "degree",
+                                      "--seed-count", "450"]])
     @pytest.mark.parametrize("graph", ["config-poisson", "barabasi-albert"])
     def test_malformed_inputs(self, graph, bad, tmp_path, capsys):
         assert run_cli("netsim", "--graph", graph, "--nodes", "500", "--runs", "2",

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -348,15 +349,17 @@ ORACLE_DIST = DegreeDistribution({1: 300, 2: 250, 3: 200, 4: 150, 6: 100, 9: 60,
 
 
 def oracle_case(system, tau, rate, rho=0.05, cap=1e12, t_end=30.003, dt=0.05,
-                homogeneous_y0=(1.0 - 1e-4, 1e-4, 0.0)):
+                homogeneous_y0=(1.0 - 1e-4, 1e-4, 0.0), seeded=1e-3):
     """(run, reference, sample) for one configuration: run() integrates it
     with the package at BLOW_UP_CAP = cap; reference is (status, last,
     times, states, derivs) from the loop stepper, and sample(t) its dense
-    output. homogeneous_y0 is the homogeneous system's (S, I, R) history."""
+    output. homogeneous_y0 is the homogeneous system's (S, I, R) history;
+    the reduced system's I and the partitioned systems' Y_k / N_k start at
+    seeded."""
     dist = ORACLE_DIST
     n = dist.max_degree
     n_k = partition_sizes(dist)
-    y0 = 1e-3 * n_k
+    y0 = seeded * n_k
     p = EpidemicParams(rho=rho, gamma=0.1, alpha=0.7, t_delay=tau)
     iso = p.alpha * math.exp(-p.gamma * tau)
     scale = p.rho / float(np.sum(np.arange(1, n + 1) * n_k))
@@ -370,7 +373,8 @@ def oracle_case(system, tau, rate, rho=0.05, cap=1e12, t_end=30.003, dt=0.05,
     elif system == "reduced":
         stats = DegreeStats.from_mu_cv(4.0, 0.5)
         beta_h = effective_beta(p, stats)
-        hist = History([1e-5, beta_h * 1e-5], rate)
+        i0 = 1e-2 * seeded
+        hist = History([i0, beta_h * i0], rate)
         code, coeffs = SYS_REDUCED, [stats.mu, beta_h, p.gamma, iso]
 
         def integrate():
@@ -444,9 +448,9 @@ def spy_lookups(monkeypatch):
     plain_delayed = dde._delayed
 
     def spy(stepper):
-        def step(f, tl, states, derivs, m0, dels, cap):
+        def step(f, tl, states, derivs, m0, dels):
             seen["segments"] += dels is not None
-            return stepper(f, tl, states, derivs, m0, dels, cap)
+            stepper(f, tl, states, derivs, m0, dels)
         return step
 
     def delayed(*args):
@@ -500,39 +504,69 @@ class TestStepperOracle:
                 run()
             assert err.value.t_last == float(times[last]), tau
 
+    # the reduced and frozen systems are linear, so from a negated history
+    # every state is negated and the run falls through minus the cap, each
+    # node below the cap
+    @pytest.mark.parametrize("system,cap", [("reduced", 1.0), ("frozen", 1e4)])
+    def test_blow_up_below_minus_the_cap(self, system, cap):
+        for tau in (0.37, 0.0):
+            run, (status, last, times, states, _), _ = oracle_case(
+                system, tau, 0.05, rho=0.3, cap=cap, seeded=-1e-3)
+            assert status == 1 and 0 < last < len(times) - 1
+            assert states[last + 1].min() < -cap and states[:last + 2].max() <= cap
+            with pytest.raises(IntegrationError) as err:
+                run()
+            assert err.value.t_last == float(times[last]), tau
+
     @pytest.mark.parametrize("first", [True, False])
     @pytest.mark.parametrize("system,cap", [
         ("reduced", 1.0), ("frozen", 1e4), ("alpha-by-degree", 1e5), ("homogeneous", None),
     ])
     def test_blow_up_at_a_segment_edge(self, system, cap, first, monkeypatch):
         # a cap between the peak |state| up to node m and the peak at node
-        # m + 1 fails step m: here a segment's first step (none done) or its
-        # last
+        # m + 1 fails step m: here a segment's first step or its last
         case = GROWING.get(system, {})
         cap = cap or midway_cap(system, 0.37, **case)
         run, (_, last, times, states, _), _ = oracle_case(system, 0.37, 0.05, rho=0.3, cap=cap,
                                                           **case)
-        starts, done = [], []
+        starts = []
         for name in STEPPERS:
             def step(*args, stepper=getattr(dde, name)):
                 starts.append(args[4])
-                done.append(stepper(*args))
-                return done[-1]
+                stepper(*args)
             monkeypatch.setattr(dde, name, step)
         with pytest.raises(IntegrationError):
             run()
         peaks = np.maximum.accumulate(np.abs(states[:last + 1]).max(axis=1))
         edges = starts[:-1] if first else [b - 1 for a, b in zip(starts, starts[1:]) if b - 1 > a]
         m = max(m for m in edges if 0 < m < last and peaks[m + 1] > peaks[m])
-        starts.clear()
-        done.clear()
         run, (status, last, times, _, _), _ = oracle_case(
             system, 0.37, 0.05, rho=0.3, cap=0.5 * (peaks[m] + peaks[m + 1]), **case)
         assert status == 1 and last == m
         with pytest.raises(IntegrationError) as err:
             run()
         assert err.value.t_last == float(times[last])
-        assert starts[-1] + done[-1] == m and (done[-1] == 0) == first
+
+    # from states far outside the model's range these runs overflow at step
+    # 2, in the first of the 3- and 4-step segments of a 256-step block, so
+    # the block's later segments step on from inf and NaN nodes: silently,
+    # and the run still ends where the loop's does
+    @pytest.mark.parametrize("system,case", [
+        ("homogeneous", {"homogeneous_y0": (1e3, 1e3, 0.0)}), ("dynamic", {"seeded": 100.0}),
+    ])
+    def test_overflow_early_in_a_block(self, system, case, monkeypatch):
+        # the loop stepper's numpy scalars warn on overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            run, (status, last, times, states, _), _ = oracle_case(
+                system, 0.2, 0.05, rho=0.3, cap=math.inf, **case)
+        assert status == 1 and last == 2 and not np.isfinite(states[last + 1]).all()
+        seen = spy_lookups(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError) as err:
+                run()
+        assert err.value.t_last == float(times[last])
+        assert seen["segments"] > 50
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(system=st.sampled_from(ORACLE_SYSTEMS),
@@ -579,7 +613,8 @@ class TestMemory:
 
     # 1e4 steps of 17 or 34 components, 2.7 or 5.4 MB of states and
     # derivatives; the array kernel's stage rows, its delayed products (the
-    # gather, multiplied in place) and its cap test's block stay within
+    # gather, multiplied in place) and the driver's cap test (two values a
+    # node of a block) stay within
     # _GATHER_VALUES (0.5 MB), and this peaks at 1.03-1.07 times the arrays
     @pytest.mark.parametrize("dynamic", [False, True])
     @pytest.mark.parametrize("tau", [0.04, 0.5])

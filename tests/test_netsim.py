@@ -92,6 +92,20 @@ class TestSeeding:
         expected = mu + var / mu
         assert np.mean(means) == pytest.approx(expected, abs=0.05)
 
+    def test_degree_seeding_needs_enough_contacted_nodes(self):
+        # every contacted node is seeded at the limit; one more is refused
+        # before the generator is drawn from
+        g = generate_graph("config-poisson", 500, 1.0, 3)
+        contacted = int(np.count_nonzero(g.degrees))
+        assert contacted < 500
+        rng = np.random.default_rng(1)
+        seeds = seed_infections(g, contacted, "degree", rng)
+        assert sorted(seeds.tolist()) == np.flatnonzero(g.degrees).tolist()
+        before = rng.bit_generator.state
+        with pytest.raises(ModelError, match="with a contact"):
+            seed_infections(g, contacted + 1, "degree", rng)
+        assert rng.bit_generator.state == before
+
     def test_unknown_mode(self):
         g = generate_graph("config-poisson", 500, 4.0, 3)
         with pytest.raises(ModelError):
