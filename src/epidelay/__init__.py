@@ -22,6 +22,7 @@ from .netsim import (
     GraphSpec,
     NetworkEnsembleStats,
     run_ensemble,
+    run_scenarios,
     run_single,
     seed_infections,
     step_day,

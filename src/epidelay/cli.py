@@ -291,8 +291,7 @@ def cmd_netsim(args) -> int:
     agg_out = args.agg_out or (os.path.splitext(args.out)[0] + "_aggregate.csv")
     write_aggregate_csv(stats, agg_out)
     if args.export_graph:
-        spec.build(np.random.SeedSequence(args.seed, spawn_key=(0, 0))).write_edge_list(
-            args.export_graph)
+        spec.build_run(args.seed, 0).write_edge_list(args.export_graph)
     _write_sidecar(args.out, args, {
         "aggregate_out": agg_out,
         "census_mu_mean": format_float(float(stats.census_mu.mean())),

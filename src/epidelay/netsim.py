@@ -32,7 +32,10 @@ the state carries its alive list and removed count, so a quiet day costs
 work proportional to the infected nodes' edges, whatever the graph size.
 
 Runs within an ensemble use independently derived RNG streams; aggregation
-order is fixed, so results do not depend on the thread count.
+order is fixed, so results do not depend on the thread count. An ensemble of
+several scenarios (run_scenarios) builds each run's graph once and runs
+every scenario on it, each from the run's own epidemic stream, so each
+scenario gets the series an ensemble of it alone would.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,7 +66,7 @@ MAX_THREADS = 256
 
 # Largest ensemble, refused before the pool starts: the pool queues every run
 # up front, at about 1.9 KB each (190 MB at MAX_RUNS), and the series hold
-# 40 bytes per run-day (400 MB at MAX_RUN_DAYS).
+# 40 bytes per run-day of each scenario (400 MB at MAX_RUN_DAYS in all).
 MAX_RUNS = 100_000
 MAX_RUN_DAYS = 10_000_000
 
@@ -78,6 +81,11 @@ class GraphSpec:
 
     def build(self, seed) -> ContactGraph:
         return generate_graph(self.kind, self.node_count, self.mean_degree, seed)
+
+    def build_run(self, base_seed: int, run: int) -> ContactGraph:
+        """Run `run`'s graph in an ensemble seeded with base_seed, from the
+        stream SeedSequence(base_seed, spawn_key=(run, 0))."""
+        return self.build(np.random.SeedSequence(base_seed, spawn_key=(run, 0)))
 
 
 @dataclass
@@ -110,15 +118,20 @@ class DayMetrics:
     mean_inf_degree: float
 
 
+def _check_seeding(mode: str, count: int, node_count: int) -> None:
+    """Refuse a seeding that no graph of node_count nodes can take."""
+    if mode not in SEEDING_MODES:
+        raise ModelError(f"unknown seeding mode {mode!r}; choose from {SEEDING_MODES}")
+    if not 0 <= count <= node_count:
+        raise ModelError(f"cannot seed {count} infections among {node_count} nodes")
+
+
 def seed_infections(graph: ContactGraph, count: int, mode: str,
                     rng: np.random.Generator) -> np.ndarray:
     """Choose initially infectious nodes, uniformly or with probability
     proportional to degree, without replacement; degree seeding picks only
     nodes with a contact."""
-    if mode not in SEEDING_MODES:
-        raise ModelError(f"unknown seeding mode {mode!r}; choose from {SEEDING_MODES}")
-    if not 0 <= count <= graph.node_count:
-        raise ModelError(f"cannot seed {count} infections among {graph.node_count} nodes")
+    _check_seeding(mode, count, graph.node_count)
     if mode == "uniform":
         return rng.choice(graph.node_count, size=count, replace=False)
     contacted = int(np.count_nonzero(graph.degrees))
@@ -365,8 +378,10 @@ class NetworkEnsembleStats:
 
     Array shapes are (runs, days); day indices start at 1 (the seeded
     state). mean_inf_degree is NaN on days a run has no infectious node.
-    Per-run RNG streams derive from base_seed as SeedSequence(base_seed,
-    spawn_key=(run, 0)) for the graph and (run, 1) for the epidemic.
+    Per-run RNG streams derive from base_seed: run r's graph from
+    SeedSequence(base_seed, spawn_key=(r, 0)) (GraphSpec.build_run), shared
+    by every scenario of a run_scenarios call, and its epidemic from
+    (r, 1). census_mu and census_var hold each run's graph census.
     """
 
     days: np.ndarray
@@ -411,6 +426,54 @@ class NetworkEnsembleStats:
         return np.sqrt(var)
 
 
+def run_scenarios(spec: GraphSpec, scenarios: list[tuple[EpidemicParams, str]],
+                  runs: int = 100, days: int = 30, seed_count: int = 10, base_seed: int = 0,
+                  reuse_graph: bool = False, threads: int = 1) -> list[NetworkEnsembleStats]:
+    """Run every (params, seeding) pair in `scenarios` on the same graphs,
+    one NetworkEnsembleStats per pair, in order.
+
+    Run r builds its graph once (spec.build_run(base_seed, r)), or with
+    reuse_graph all runs share run 0's, and runs each scenario on it from a
+    fresh generator on SeedSequence(base_seed, spawn_key=(r, 1)). So each
+    scenario's series are those of run_ensemble on it alone. Threads, at
+    most MAX_THREADS, only affect wall time, never results. At most MAX_RUNS
+    runs and MAX_RUN_DAYS run-days over all scenarios are accepted. Every
+    check that needs no graph runs before the first one is built.
+    """
+    if not scenarios:
+        raise ModelError("need at least one scenario")
+    if not 1 <= runs <= MAX_RUNS:
+        raise ModelError(f"runs must be in [1, {MAX_RUNS}], got {runs}")
+    if days < 1:
+        raise ModelError(f"days must be >= 1, got {days}")
+    limit = MAX_RUN_DAYS // len(scenarios)
+    if runs * days > limit:
+        raise ModelError(f"runs x days = {runs} x {days} exceeds {limit}")
+    if base_seed < 0:
+        raise ModelError(f"base_seed must be >= 0, got {base_seed}")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ModelError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
+    for _, seeding in scenarios:
+        _check_seeding(seeding, seed_count, spec.node_count)
+    shared = spec.build_run(base_seed, 0) if reuse_graph else None
+
+    def one_run(run: int) -> list[RunResult]:
+        graph = shared if shared is not None else spec.build_run(base_seed, run)
+        epidemic = np.random.SeedSequence(base_seed, spawn_key=(run, 1))
+        return [run_single(graph, params, seeding, seed_count, days,
+                           np.random.default_rng(epidemic)) for params, seeding in scenarios]
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        per_run = list(pool.map(one_run, range(runs)))
+
+    # each RunResult field stacks, run by run, into the stats field of its name
+    return [NetworkEnsembleStats(
+        days=np.arange(FIRST_DAY, FIRST_DAY + days, dtype=np.int64), base_seed=base_seed,
+        run_count=runs, **{f.name: np.stack([getattr(res, f.name) for res in results])
+                           for f in fields(RunResult)})
+        for results in zip(*per_run)]
+
+
 def run_ensemble(
     spec: GraphSpec,
     params: EpidemicParams,
@@ -422,47 +485,14 @@ def run_ensemble(
     reuse_graph: bool = False,
     threads: int = 1,
 ) -> NetworkEnsembleStats:
-    """Run independent seeded epidemics and aggregate their daily metrics.
+    """Run independent seeded epidemics and aggregate their daily metrics:
+    run_scenarios with the one scenario (params, seeding).
 
     By default each run regenerates its own graph realization; with
-    reuse_graph one realization (run-0 graph stream) is shared. Threads, at
-    most MAX_THREADS, only affect wall time, never results. At most MAX_RUNS
-    runs and MAX_RUN_DAYS run-days are accepted.
+    reuse_graph one realization (run-0 graph stream) is shared.
     """
-    if not 1 <= runs <= MAX_RUNS:
-        raise ModelError(f"runs must be in [1, {MAX_RUNS}], got {runs}")
-    if days < 1:
-        raise ModelError(f"days must be >= 1, got {days}")
-    if runs * days > MAX_RUN_DAYS:
-        raise ModelError(f"runs x days = {runs} x {days} exceeds {MAX_RUN_DAYS}")
-    if base_seed < 0:
-        raise ModelError(f"base_seed must be >= 0, got {base_seed}")
-    if not 1 <= threads <= MAX_THREADS:
-        raise ModelError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
-    shared = spec.build(np.random.SeedSequence(base_seed, spawn_key=(0, 0))) if reuse_graph else None
-
-    def one_run(run: int) -> RunResult:
-        graph = shared if shared is not None else spec.build(
-            np.random.SeedSequence(base_seed, spawn_key=(run, 0)))
-        rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(run, 1)))
-        return run_single(graph, params, seeding, seed_count, days, rng)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(one_run, range(runs)))
-
-    stack = lambda attr: np.stack([getattr(res, attr) for res in results])
-    return NetworkEnsembleStats(
-        days=np.arange(FIRST_DAY, FIRST_DAY + days, dtype=np.int64),
-        s=stack("s"),
-        i=stack("i"),
-        r=stack("r"),
-        isolated=stack("isolated"),
-        mean_inf_degree=stack("mean_inf_degree"),
-        census_mu=np.array([res.census_mu for res in results]),
-        census_var=np.array([res.census_var for res in results]),
-        base_seed=base_seed,
-        run_count=runs,
-    )
+    return run_scenarios(spec, [(params, seeding)], runs, days, seed_count, base_seed,
+                         reuse_graph, threads)[0]
 
 
 def write_runs_csv(stats: NetworkEnsembleStats, path) -> None:

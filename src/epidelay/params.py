@@ -119,12 +119,19 @@ class DegreeStats:
     @classmethod
     def from_mu_cv(cls, mu: float, cv: float) -> "DegreeStats":
         """Synthetic stats from mean and coefficient of variation alone
-        (mixed-population h; third moment unknown)."""
+        (mixed-population h; third moment unknown). sigma = cv*mu and
+        h = cv^2 + 1 must be finite too."""
         if not 0.0 < mu < math.inf:
             raise ModelError(f"mu must be finite and > 0, got {mu}")
         if not 0.0 <= cv < math.inf:
             raise ModelError(f"cv must be finite and >= 0, got {cv}")
-        return cls(mu=mu, sigma=cv * mu, cv=cv, k3=math.nan, h=cv * cv + 1.0)
+        sigma, h = cv * mu, cv * cv + 1.0
+        if not math.isfinite(h):
+            raise ModelError(f"heterogeneity factor h = cv^2 + 1 = {h} is not finite (cv = {cv})")
+        if not math.isfinite(sigma):
+            raise ModelError(f"degree deviation sigma = cv * mu = {sigma} is not finite "
+                             f"(cv = {cv}, mu = {mu})")
+        return cls(mu=mu, sigma=sigma, cv=cv, k3=math.nan, h=h)
 
 
 def compute_stats(
@@ -163,8 +170,12 @@ def compute_stats(
 
 
 def effective_beta(params: EpidemicParams, stats: DegreeStats) -> float:
-    """Heterogeneity-scaled mixing rate rho * mu * h (1/day)."""
-    return params.rho * stats.mu * stats.h
+    """Heterogeneity-scaled mixing rate rho * mu * h (1/day), refused when
+    it is not finite."""
+    beta_h = params.rho * stats.mu * stats.h
+    if not math.isfinite(beta_h):
+        raise ModelError(f"mixing rate beta_h = {beta_h} is not finite")
+    return beta_h
 
 
 def load_distribution(path) -> DegreeDistribution:

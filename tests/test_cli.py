@@ -496,6 +496,27 @@ class TestDde:
         err = capsys.readouterr().err
         assert err.startswith("error: history") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("system,argv,message", [
+        # h or sigma passes the float range: these read "history y0 must be
+        # finite, got [1.e-05 inf]" and "state magnitude exceeded cap 1e+12
+        # after t=0"
+        ("reduced", ["--cv", "1e200"], "heterogeneity factor h = cv^2 + 1 = inf"),
+        ("homogeneous", ["--mu", "1e308", "--cv", "10"],
+         "degree deviation sigma = cv * mu = inf"),
+        # h and sigma are finite, rho * mu * h is not
+        ("reduced", ["--mu", "1e200", "--cv", "1e100"], "mixing rate beta_h = inf"),
+        ("homogeneous", ["--mu", "1e200", "--cv", "1e100"], "mixing rate beta_h = inf"),
+    ])
+    def test_non_finite_mixing_rate(self, system, argv, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("dde", "--system", system, *argv, "--out", str(out)) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message} is not finite") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("system", ["homogeneous", "reduced"])
     def test_dist_sets_mixing_rate(self, system, tmp_path):
         # --dist replaces --mu/--cv in every system, through the same beta_h
@@ -688,12 +709,28 @@ class TestNetsim:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["results.v2"]
 
     def test_graph_export(self, tmp_path):
-        out = tmp_path / "runs.csv"
-        edges = tmp_path / "graph.txt"
-        assert run_cli("netsim", "--graph", "config-poisson", "--nodes", "500",
-                       "--runs", "1", "--days", "3", "--out", str(out),
-                       "--export-graph", str(edges)) == 0
-        assert edges.exists() and len(edges.read_text().splitlines()) > 400
+        # the exported edge list is run 0's graph, the one whose census the
+        # ensemble reports first, with or without --reuse-graph
+        spec = netsim.GraphSpec("config-poisson", 500, 4.0)
+        want = tmp_path / "want.txt"
+        spec.build_run(7, 0).write_edge_list(want)
+        params = EpidemicParams(rho=0.2, gamma=0.1, alpha=0.0, t_delay=0.0)
+        for reuse in (False, True):
+            out = tmp_path / "runs.csv"
+            edges = tmp_path / "graph.txt"
+            assert run_cli("netsim", "--graph", "config-poisson", "--nodes", "500",
+                           "--runs", "2", "--days", "3", "--seed", "7", "--out", str(out),
+                           "--export-graph", str(edges), *["--reuse-graph"] * reuse) == 0
+            assert edges.read_bytes() == want.read_bytes()
+            assert len(edges.read_text().splitlines()) > 400
+            stats = netsim.run_ensemble(spec, params, runs=2, days=3, base_seed=7,
+                                        reuse_graph=reuse)
+            degrees = np.bincount(np.loadtxt(edges, dtype=np.int64).ravel(), minlength=500)
+            assert (float(degrees.mean()), float(degrees.var())) == (stats.census_mu[0],
+                                                                     stats.census_var[0])
+            runs_csv = tmp_path / "want_runs.csv"
+            netsim.write_runs_csv(stats, runs_csv)
+            assert out.read_bytes() == runs_csv.read_bytes()
 
     @pytest.mark.parametrize("bad", [["--seed-count", "-1"], ["--seed", "-1"],
                                      ["--mu", "nan"], ["--mu", "inf"],

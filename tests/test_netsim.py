@@ -1,7 +1,7 @@
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from epidelay.netsim import (
     init_state,
     metrics_from_state,
     run_ensemble,
+    run_scenarios,
     run_single,
     seed_infections,
     step_day,
@@ -614,6 +615,93 @@ class TestEnsemble:
         assert agg_lines[0] == ("day,mean_S,mean_I,mean_R,mean_isolated,"
                                 "mean_inf_degree,stddev_inf_degree")
         assert len(agg_lines) == 1 + 4
+
+
+def spy_builds(monkeypatch, fail: bool = False) -> list:
+    """Record the spawn key of every GraphSpec.build call from now on; with
+    fail, fail the test at the first call instead of building."""
+    keys = []
+    build = GraphSpec.build
+
+    def spy(self, seed):
+        keys.append(tuple(seed.spawn_key))
+        if fail:
+            pytest.fail("a graph was built before the scenarios were checked")
+        return build(self, seed)
+
+    monkeypatch.setattr(GraphSpec, "build", spy)
+    return keys
+
+
+def assert_same_stats(a: NetworkEnsembleStats, b: NetworkEnsembleStats) -> None:
+    """Every field equal, arrays bit for bit (so NaN matches NaN)."""
+    for field in fields(NetworkEnsembleStats):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field.name
+        else:
+            assert x == y, field.name
+
+
+class TestScenarios:
+    SCENARIOS = [(base_params(), "uniform"),
+                 (base_params(alpha=0.5, t_delay=2.5), "degree"),
+                 (base_params(rho=0.05, gamma=0.9, alpha=1.0, t_delay=1.0), "uniform")]
+
+    def spec(self):
+        return GraphSpec("config-poisson", 2000, 4.0)
+
+    @pytest.mark.parametrize("reuse_graph", [False, True])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_each_scenario_matches_its_own_ensemble(self, threads, reuse_graph):
+        kw = dict(runs=5, days=12, seed_count=8, base_seed=17, reuse_graph=reuse_graph,
+                  threads=threads)
+        together = run_scenarios(self.spec(), self.SCENARIOS, **kw)
+        assert len(together) == len(self.SCENARIOS)
+        for (params, seeding), stats in zip(self.SCENARIOS, together):
+            assert_same_stats(stats, run_ensemble(self.spec(), params, seeding, **kw))
+        # the scenarios differ, and the third dies out, so NaN days are compared
+        assert not np.array_equal(together[0].i, together[1].i)
+        assert np.isnan(together[2].mean_inf_degree).any()
+
+    @pytest.mark.parametrize("reuse_graph", [False, True])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_each_graph_built_once(self, count, reuse_graph, monkeypatch):
+        keys = spy_builds(monkeypatch)
+        run_scenarios(self.spec(), self.SCENARIOS[:count], runs=4, days=3, base_seed=2,
+                      reuse_graph=reuse_graph, threads=2)
+        assert sorted(keys) == ([(0, 0)] if reuse_graph else [(r, 0) for r in range(4)])
+
+    def test_build_run_is_the_ensemble_graph(self):
+        stats = run_ensemble(self.spec(), base_params(), runs=3, days=2, base_seed=6)
+        for run in range(3):
+            graph = self.spec().build_run(6, run)
+            assert graph.seed_key == (6, run, 0)
+            assert graph.census == (stats.census_mu[run], stats.census_var[run])
+
+    @pytest.mark.parametrize("scenarios,kw,message", [
+        ([], {}, "need at least one scenario"),
+        # a bad second scenario is refused before the first one runs
+        ([(base_params(), "uniform"), (base_params(), "sideways")], {},
+         "unknown seeding mode 'sideways'"),
+        ([(base_params(), "degree")], {"seed_count": -1},
+         "cannot seed -1 infections among 2000 nodes"),
+        ([(base_params(), "uniform")], {"seed_count": 2001},
+         "cannot seed 2001 infections among 2000 nodes"),
+    ], ids=["empty", "bad-second-seeding", "negative-count", "count-over-nodes"])
+    def test_bad_scenarios_refused_before_any_graph(self, scenarios, kw, message,
+                                                    monkeypatch):
+        keys = spy_builds(monkeypatch, fail=True)
+        with pytest.raises(ModelError, match=f"^{message}"):
+            run_scenarios(self.spec(), scenarios, **{"runs": 2, "days": 3, **kw})
+        assert keys == []
+
+    def test_run_days_limit_counts_every_scenario(self, monkeypatch):
+        # MAX_RUN_DAYS bounds the run-days of all scenarios together
+        monkeypatch.setattr(netsim, "MAX_RUN_DAYS", 12)
+        with pytest.raises(ModelError, match="exceeds 4$"):
+            run_scenarios(self.spec(), self.SCENARIOS, runs=1, days=5)
+        assert len(run_scenarios(self.spec(), self.SCENARIOS, runs=1, days=4)) == 3
 
 
 class TestSizeBiasBound:

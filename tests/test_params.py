@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -143,6 +144,21 @@ class TestFromMuCv:
         with pytest.raises(ModelError):
             DegreeStats.from_mu_cv(mu, cv)
 
+    @pytest.mark.parametrize("mu, cv, message", [
+        (4.0, 1e200, "heterogeneity factor h = cv^2 + 1 = inf"),
+        (1e308, 10.0, "degree deviation sigma = cv * mu = inf"),
+        (1e200, 1e200, "heterogeneity factor h"),
+    ])
+    def test_non_finite_sigma_or_h_rejected(self, mu, cv, message):
+        # finite mu and cv whose products pass the float range
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}"):
+            DegreeStats.from_mu_cv(mu, cv)
+
+    @pytest.mark.parametrize("mu, cv", [(4.0, 0.5), (1e150, 1e150), (1e300, 1.5), (1e-300, 1e3)])
+    def test_finite_moments_keep_their_bits(self, mu, cv):
+        stats = DegreeStats.from_mu_cv(mu, cv)
+        assert (stats.mu, stats.sigma, stats.cv, stats.h) == (mu, cv * mu, cv, cv * cv + 1.0)
+
 
 class TestEffectiveBeta:
     def test_homogeneous_recovers_rho_k(self):
@@ -156,6 +172,22 @@ class TestEffectiveBeta:
     def test_zero_rho(self):
         p = EpidemicParams(rho=0.0, gamma=0.1, alpha=0.0, t_delay=0.0)
         assert effective_beta(p, DegreeStats.from_mu_cv(4.0, 1.3)) == 0.0
+
+    def test_non_finite_product_rejected(self):
+        # mu and h are finite, their product with rho is not
+        p = EpidemicParams(rho=0.075, gamma=0.1, alpha=0.0, t_delay=0.0)
+        stats = DegreeStats.from_mu_cv(1e200, 1e100)
+        with pytest.raises(ModelError, match=r"^mixing rate beta_h = inf is not finite"):
+            effective_beta(p, stats)
+        with pytest.raises(ModelError, match=r"^mixing rate beta_h = inf is not finite"):
+            heterogeneous_delay_bound(p, stats)
+
+    @pytest.mark.parametrize("rho, mu, cv", [(0.075, 4.0, 0.5), (1.0, 1e150, 1e75),
+                                             (0.3, 1e-300, 2.0)])
+    def test_finite_product_keeps_its_bits(self, rho, mu, cv):
+        p = EpidemicParams(rho=rho, gamma=0.1, alpha=0.0, t_delay=0.0)
+        stats = DegreeStats.from_mu_cv(mu, cv)
+        assert effective_beta(p, stats) == rho * mu * (cv * cv + 1.0)
 
     def test_monotone_in_cv(self):
         p = EpidemicParams(rho=0.05, gamma=0.1, alpha=0.0, t_delay=0.0)
